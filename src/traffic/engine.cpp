@@ -8,12 +8,11 @@
 #include <vector>
 
 #include "common/csv.hpp"
-#include "common/rng.hpp"
 #include "fault/plane.hpp"
 #include "replay/lifecycle.hpp"
-#include "replay/trace.hpp"
 #include "runtime/qos_supervisor.hpp"
 #include "sim/task.hpp"
+#include "traffic/wire.hpp"
 
 namespace vl::traffic {
 
@@ -23,25 +22,17 @@ using squeue::Channel;
 using squeue::Msg;
 using sim::Co;
 using sim::SimThread;
+using wire::kPillTenant;
+using wire::kTickMask;
 
-constexpr std::uint64_t kTickMask = (std::uint64_t{1} << 48) - 1;
-constexpr std::uint64_t kPillTenant = 0xff;
-
-std::uint64_t stamp(int tenant, int pid, Tick now) {
-  return (static_cast<std::uint64_t>(tenant) << 56) |
-         (static_cast<std::uint64_t>(pid) << 48) | (now & kTickMask);
-}
-
-/// Derive an independent RNG stream for one actor of the run. Xoshiro
-/// seeding splitmixes the value, so consecutive salts give uncorrelated
-/// streams.
-std::uint64_t split_seed(std::uint64_t seed, std::uint64_t salt) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
-}
+/// QoS supervisor control cadence: a few epochs of reaction time stay well
+/// inside one bulk burst dwell.
+constexpr Tick kSupervisorPeriod = 2500;
 
 struct StageChannel {
   std::unique_ptr<Channel> ch;
   int workers = 1;
+  int workers_done = 0;  ///< Workers that reached their drain target.
   std::string label;
   /// Payload messages fed into this channel (producer flushes + upstream
   /// relays). Final by the time its termination pill is built, so the pill
@@ -58,17 +49,13 @@ struct Ctx {
   runtime::Machine& m;
   const ScenarioSpec& spec;
   squeue::Backend backend;
-  std::uint64_t seed;
 
   std::vector<Stage> stages;
   std::vector<std::unique_ptr<Channel>> acks;  // per producer, closed loop
   std::vector<TenantMetrics> tenants;
-  std::vector<DepthSeries> depths;  // parallel to flattened stage channels
 
   int producers_remaining = 0;
   sim::AsyncOp<int> producers_done;
-  int consumers_remaining = 0;  // final-stage workers
-  bool all_done = false;
 
   /// Fault plane (null on clean runs). `chan_faults` pre-gates the
   /// per-message loss/dup hook: spec has loss/dup events AND the backend
@@ -79,46 +66,33 @@ struct Ctx {
   /// Send-boundary trace tap (null unless the caller's RunHooks carry a
   /// recorder). Recording is a pure observation — no events scheduled.
   replay::TraceRecorder* rec = nullptr;
-  /// Replay source: producers re-offer this trace's per-pid record streams
-  /// instead of their tenants' arrival processes. Null on live runs.
-  const replay::Trace* trace = nullptr;
   /// Lifecycle plane (null on static runs): tenant churn windows and
   /// one-shot SQI reconfig events, consulted by producers and workers.
   replay::LifecyclePlane* lp = nullptr;
-
-  std::uint8_t payload_words(const TenantSpec& t) const {
-    // CAF channels carry fixed single-word frames (multi-word register
-    // sequences interleave under M:N sharing), so CAF runs stamp-only.
-    return backend == squeue::Backend::kCaf ? std::uint8_t{1} : t.msg_words;
-  }
-
-  /// Termination pill. The stamp bits [47:0] — meaningless for a pill —
-  /// carry the channel's exact payload count, so a sole worker can drain
-  /// to the count instead of trusting arrival order: VL's § III-B
-  /// injection-retry recovery can land a straggler *after* a younger line
-  /// (the registration recycle maps returned data to the next armed ring
-  /// line), so "pill seen" does not imply "channel empty".
-  Msg make_pill(std::uint64_t count = 0) const {
-    Msg p;
-    p.n = 1;
-    p.w[0] = (kPillTenant << 56) | (count & kTickMask);
-    return p;
-  }
 };
 
-Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
+/// One producer thread, live or replaying — `src` decides where each
+/// message comes from. A replayed stream is post-shed and paces no acks, so
+/// shedding, fault loss/dup and gap scaling, produce_compute, churn waits
+/// and the closed-loop window are all switched off here, once.
+Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid,
+                  wire::MessageSource src) {
   const TenantSpec& ts = cx.spec.tenants[static_cast<std::size_t>(tenant_id)];
-  auto arrival = make_arrival(ts.arrival, split_seed(cx.seed, pid));
-  Xoshiro256 route_rng(split_seed(cx.seed, 0x4000 + pid));
-  Channel* ack = cx.spec.closed_loop
+  const bool live = src.live();
+  replay::LifecyclePlane* lp =
+      live && cx.lp && cx.lp->tenant_has_events(tenant_id) ? cx.lp : nullptr;
+  fault::FaultPlane* fp = live ? cx.fp : nullptr;
+  const bool chan_faults = live && cx.chan_faults;
+  const std::uint64_t drop_depth = live ? ts.drop_depth : 0;
+  const Tick compute = live ? cx.spec.produce_compute : 0;
+  Channel* ack = live && cx.spec.closed_loop
                      ? cx.acks[static_cast<std::size_t>(pid)].get()
                      : nullptr;
   auto& eq = cx.m.eq();
   auto& tm = cx.tenants[static_cast<std::size_t>(tenant_id)];
   Stage& s0 = cx.stages.front();
   const auto nch = static_cast<std::uint64_t>(s0.channels.size());
-  const std::uint8_t words = cx.payload_words(ts);
-  const std::uint64_t target = ts.messages_per_producer;
+  const std::uint64_t target = src.budget();
   // Closed loops cap the effective batch at the window — a producer may
   // never hold more unacked messages than its in-flight budget.
   const std::uint64_t batch =
@@ -134,23 +108,22 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
   // the rotation counter and mesh RNG draws replay the historic per-lap
   // routing draw for draw and BENCH baselines are unaffected.
   std::vector<std::vector<Msg>> sub(nch);
-  std::uint64_t seq = 0;  // routing counter: advances per generated message
 
   for (std::uint64_t i = 0; i < target;) {
-    // Assemble up to `batch` messages: each paces on the arrival process
-    // and is stamped at its generation instant, so batching adds the
+    // Assemble up to `batch` messages: each paces on the source and is
+    // stamped at its generation instant, so batching adds the
     // producer-side accumulation delay to the measured latency — exactly
     // the trade batched injection makes.
     std::uint64_t assembled = 0;
     while (assembled < batch && i < target) {
-      if (cx.lp && cx.lp->tenant_has_events(tenant_id)) {
+      if (lp) {
         Tick at;
-        while ((at = cx.lp->next_active(tenant_id, eq.now())) != 0) {
+        while ((at = lp->next_active(tenant_id, eq.now())) != 0) {
           if (at == replay::LifecyclePlane::kNever) {
             // Departed for good: the rest of the budget is forfeited, not
             // dropped — never generated, so conservation stays exact and
             // the count-carrying pills still match what was fed.
-            cx.lp->note_forfeit(target - i);
+            lp->note_forfeit(target - i);
             i = target;
             break;
           }
@@ -158,19 +131,17 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
         }
         if (i >= target) break;
       }
-      Tick gap = arrival->next_gap(eq.now());
-      if (cx.fp) gap = cx.fp->scale_gap(0, ts.qos, eq.now(), gap);
+      Tick gap = src.next_gap(eq.now());
+      if (fp) gap = fp->scale_gap(0, ts.qos, eq.now(), gap);
       if (gap) co_await sim::Delay(eq, gap);
-      if (cx.spec.produce_compute) co_await t.compute(cx.spec.produce_compute);
+      if (compute) co_await t.compute(compute);
 
       ++tm.generated;
-      std::uint64_t c = 0;
-      if (nch > 1)
-        c = cx.spec.topology == Topology::kFanOut ? seq % nch
-                                                  : route_rng.below(nch);
-      ++seq;  // dropped messages advance the rotation too
-      Channel& ch = *s0.channels[c].ch;
-      if (ts.drop_depth && ch.depth() >= ts.drop_depth) {
+      // Routed before the shed checks: dropped messages advance the
+      // fan-out rotation and the mesh RNG too.
+      const wire::MessageSource::Draw d = src.take(nch);
+      Channel& ch = *s0.channels[d.dst].ch;
+      if (drop_depth && ch.depth() >= drop_depth) {
         ++tm.dropped;
         ++i;
         continue;
@@ -180,26 +151,21 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
       // pill counts, because only what actually lands in the batch is
       // counted at flush time.
       int copies = 1;
-      if (cx.chan_faults) {
-        copies = cx.fp->chan_copies(0, eq.now());
+      if (chan_faults) {
+        copies = fp->chan_copies(0, eq.now());
         if (copies == 0) {
           ++tm.dropped;
           ++i;
           continue;
         }
       }
-      Msg msg;
-      msg.n = words;
-      msg.qos = ts.qos;
-      msg.w[0] = stamp(tenant_id, pid, eq.now());
-      for (std::uint8_t w = 1; w < words; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(tenant_id) << 32) | i;
-      for (int k = 0; k < copies; ++k) sub[c].push_back(msg);
+      const Msg msg = wire::make_msg(d, tenant_id, pid, eq.now(), i);
+      for (int k = 0; k < copies; ++k) sub[d.dst].push_back(msg);
       if (cx.rec)
         for (int k = 0; k < copies; ++k)
           cx.rec->on_send(static_cast<std::uint16_t>(pid),
                           static_cast<std::uint16_t>(tenant_id), msg.qos,
-                          msg.n, c, eq.now());
+                          msg.n, d.dst, eq.now());
       ++i;
       ++assembled;
     }
@@ -230,63 +196,6 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
   if (--cx.producers_remaining == 0) cx.producers_done.complete(0);
 }
 
-/// Replay-mode producer: re-offers the trace's per-pid record stream.
-/// Pacing reconstructs each record's absolute generation tick
-/// (TraceArrival::next_gap), and class / payload width / destination come
-/// from the record instead of the spec's RNG draws. The trace is the
-/// post-shed stream, so drop_depth, fault loss/dup, and produce_compute
-/// are all skipped — their effects are already in the recorded ticks.
-/// Batching follows the tenant's spec batch, reproducing the recorded
-/// run's accumulate-then-flush injection shape.
-Co<void> replay_producer(Ctx& cx, SimThread t, int tenant_id, int pid) {
-  const TenantSpec& ts = cx.spec.tenants[static_cast<std::size_t>(tenant_id)];
-  auto& eq = cx.m.eq();
-  auto& tm = cx.tenants[static_cast<std::size_t>(tenant_id)];
-  Stage& s0 = cx.stages.front();
-  const auto nch = static_cast<std::uint64_t>(s0.channels.size());
-  const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
-  replay::TraceArrival rep(*cx.trace, static_cast<std::uint16_t>(pid));
-  std::vector<std::vector<Msg>> sub(nch);
-
-  while (!rep.done()) {
-    std::uint64_t assembled = 0;
-    while (assembled < batch && !rep.done()) {
-      const Tick gap = rep.next_gap(eq.now());
-      if (gap) co_await sim::Delay(eq, gap);
-      const replay::TraceRecord& r0 = rep.record();
-      ++tm.generated;
-      const std::uint64_t c = nch > 1 ? r0.dst % nch : 0;
-      Msg msg;
-      // CAF carries single-word frames (see payload_words); a VL-recorded
-      // trace replayed onto CAF clamps like a live run would.
-      msg.n = cx.backend == squeue::Backend::kCaf ? std::uint8_t{1}
-                                                  : r0.words;
-      msg.qos = r0.cls;
-      msg.w[0] = stamp(tenant_id, pid, eq.now());
-      for (std::uint8_t w = 1; w < msg.n; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(tenant_id) << 32) | assembled;
-      sub[c].push_back(msg);
-      if (cx.rec)  // re-recording a replay reproduces the trace
-        cx.rec->on_send(static_cast<std::uint16_t>(pid),
-                        static_cast<std::uint16_t>(tenant_id), msg.qos, msg.n,
-                        c, eq.now());
-      rep.advance();
-      ++assembled;
-    }
-    for (std::uint64_t c = 0; c < nch; ++c) {
-      auto& b = sub[c];
-      if (b.empty()) continue;
-      const Tick send_start = eq.now();
-      co_await s0.channels[c].ch->send_many(t, b);
-      tm.blocked_ticks += eq.now() - send_start;
-      tm.sent += b.size();
-      s0.channels[c].fed += b.size();
-      b.clear();
-    }
-  }
-  if (--cx.producers_remaining == 0) cx.producers_done.complete(0);
-}
-
 Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
   Stage& st = cx.stages[static_cast<std::size_t>(stage_idx)];
   StageChannel& sc = st.channels[static_cast<std::size_t>(chan_idx)];
@@ -294,8 +203,8 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
   const bool final_stage =
       stage_idx + 1 == static_cast<int>(cx.stages.size());
   auto& eq = cx.m.eq();
-  // Flattened channel ordinal (the reconfig@:channel= numbering — same
-  // order as the depth series).
+  // Flattened channel ordinal (the reconfig@:channel= numbering: stage by
+  // stage, channel by channel).
   int flat = chan_idx;
   for (int s = 0; s < stage_idx; ++s)
     flat += static_cast<int>(cx.stages[static_cast<std::size_t>(s)]
@@ -356,148 +265,78 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
     }
   }
 
+  ++sc.workers_done;
   if (--st.workers_remaining == 0 && !final_stage) {
     // Last worker of this stage: all payload is already enqueued
     // downstream, so pills sent now arrive after it.
     Stage& next = cx.stages[static_cast<std::size_t>(stage_idx) + 1];
     for (auto& nc : next.channels)
       for (int k = 0; k < nc.workers; ++k)
-        co_await nc.ch->send(t, cx.make_pill(nc.workers == 1 ? nc.fed : 0));
+        co_await nc.ch->send(t, wire::make_pill(nc.workers == 1 ? nc.fed : 0));
   }
-  if (final_stage && --cx.consumers_remaining == 0) cx.all_done = true;
 }
 
 Co<void> coordinator(Ctx& cx, SimThread t) {
   co_await cx.producers_done;
   for (auto& sc : cx.stages.front().channels)
     for (int k = 0; k < sc.workers; ++k)
-      co_await sc.ch->send(t, cx.make_pill(sc.workers == 1 ? sc.fed : 0));
+      co_await sc.ch->send(t, wire::make_pill(sc.workers == 1 ? sc.fed : 0));
 }
 
-Co<void> depth_sampler(Ctx& cx) {
-  for (;;) {
-    std::size_t i = 0;
-    for (auto& st : cx.stages)
-      for (auto& sc : st.channels) {
-        auto& d = cx.depths[i++];
-        d.depth.record(static_cast<double>(sc.ch->depth()));
-        ++d.samples;
-      }
-    if (cx.all_done) break;
-    co_await sim::Delay(cx.m.eq(), cx.spec.depth_sample_period);
-  }
+/// Visits every tenant's metrics (the class-series fold source).
+TenantVisitor tenants_of(Ctx& cx) {
+  return [&cx](const std::function<void(const TenantMetrics&)>& fn) {
+    for (const auto& t : cx.tenants) fn(t);
+  };
 }
 
-/// Register the run's timeline series: per-class cumulative traffic
-/// counters (aggregated over the class's tenants exactly the way
-/// ScenarioMetrics::by_class() does, so the final epoch equals the
-/// end-of-run report), plus the kernel/device counters the QoS supervisor
-/// watches. Closures read cx/machine state in place — call
-/// Timeline::detach() before cx's metrics are moved out.
+/// Register the run's timeline series: the kernel/device counters plus the
+/// per-class cumulative traffic counters. Closures read cx/machine state in
+/// place — call Timeline::detach() before cx's metrics are moved out.
 void register_series(obs::Timeline& tl, Ctx& cx, runtime::Machine& m,
                      squeue::ChannelFactory& f) {
-  tl.add_series("eq.executed",
-                [&m] { return static_cast<double>(m.eq().executed()); });
-  tl.add_series("chan.depth", [&cx] {
-    std::uint64_t d = 0;
+  wire::register_device_series(tl, f.backend(), [&](const auto& fn) {
+    std::uint64_t depth = 0;
     for (auto& st : cx.stages)
-      for (auto& sc : st.channels) d += sc.ch->depth();
-    return static_cast<double>(d);
+      for (auto& sc : st.channels) depth += sc.ch->depth();
+    fn(m, f, depth);
   });
-  tl.add_series("vlrd.push_quota_nacks", [&m] {
-    return static_cast<double>(m.vlrd_stats().push_quota_nacks);
-  });
-  tl.add_series("vlrd.fetch_nacks", [&m] {
-    return static_cast<double>(m.vlrd_stats().fetch_nacks);
-  });
-  if (f.backend() == squeue::Backend::kCaf) {
-    squeue::CafDevice& dev = f.caf_device();
-    for (std::size_t c = 0; c < kQosClasses; ++c) {
-      const auto cls = static_cast<QosClass>(c);
-      tl.add_series(std::string("caf.occupancy.") + to_string(cls),
-                    [&dev, cls] {
-                      return static_cast<double>(dev.class_occupancy(cls));
-                    });
-    }
-  }
-
-  bool present[kQosClasses] = {};
-  for (const auto& t : cx.tenants) present[static_cast<std::size_t>(t.qos)] = true;
-  for (std::size_t c = 0; c < kQosClasses; ++c) {
-    if (!present[c]) continue;
-    const auto cls = static_cast<QosClass>(c);
-    const std::string base = std::string("class.") + to_string(cls) + ".";
-    auto fold = [&cx, cls](auto&& view) {
-      double acc = 0.0;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls) acc += view(t);
-      return acc;
-    };
-    tl.add_series(base + "delivered", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.delivered);
-      });
-    });
-    tl.add_series(base + "sent", [fold] {
-      return fold(
-          [](const TenantMetrics& t) { return static_cast<double>(t.sent); });
-    });
-    tl.add_series(base + "blocked_ticks", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.blocked_ticks);
-      });
-    });
-    tl.add_series(base + "p99", [&cx, cls] {
-      LogHistogram h;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls) h.merge(t.latency);
-      return static_cast<double>(h.percentile(99));
-    });
-    tl.add_series(base + "slo_within", [&cx, cls] {
-      // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct.
-      // The QoS supervisor differences consecutive epochs of this and of
-      // `delivered` to get a *windowed* attainment, which reacts to the
-      // current epoch instead of averaging over the whole run.
-      std::uint64_t within = 0;
-      for (const auto& t : cx.tenants)
-        if (t.qos == cls && t.slo_p99) within += t.slo_within();
-      return static_cast<double>(within);
-    });
-    tl.add_series(base + "slo_att_pct", [&cx, cls] {
-      // ClassAgg::slo_attained_pct over the class's SLO-carrying tenants.
-      std::uint64_t slo_delivered = 0, slo_within = 0;
-      for (const auto& t : cx.tenants) {
-        if (t.qos != cls || !t.slo_p99) continue;
-        slo_delivered += t.delivered;
-        slo_within += t.slo_within();
-      }
-      if (!slo_delivered) return 100.0;
-      return 100.0 * static_cast<double>(slo_within) /
-             static_cast<double>(slo_delivered);
-    });
-  }
+  register_class_series(tl, tenants_of(cx));
 }
 
-/// Drive the queue to completion, sampling the timeline at every
-/// `period`-tick boundary. Replays the exact event sequence m.run() would:
-/// events step one at a time, boundary samples happen *between* events
-/// (all events <= the boundary have fired, the next lies beyond it), and
-/// now_ is never fast-forwarded past the last event — run_until() would
-/// inflate the run's measured ticks when the queue drains mid-window.
-void run_sampled(runtime::Machine& m, obs::Timeline& tl, Tick period,
-                 const std::function<void()>& on_epoch = {}) {
-  if (period == 0) period = 1;
-  sim::EventQueue& eq = m.eq();
-  Tick next = m.now() + period;
+/// One epoch clock of run_sampled: `at(boundary)` runs at every multiple
+/// of `period` past the start tick.
+struct EpochClock {
+  Tick period;
+  std::function<void(Tick)> at;
+  Tick next = 0;
+};
+
+/// Drive the queue to completion, running each clock at its epoch
+/// boundaries. Replays the exact event sequence m.run() would: events step
+/// one at a time, and a boundary is handled *between* events, once every
+/// event <= it has fired and the next lies beyond it. now() first advances
+/// to the boundary (run_until fires nothing there), so knob writes made at
+/// the boundary wake their waiters on the boundary tick itself; now() never
+/// passes the last event, so the run's measured ticks do not depend on the
+/// clocks. Clocks due on the same tick run in list order.
+void run_sampled(sim::EventQueue& eq, std::vector<EpochClock> clocks) {
+  if (clocks.empty()) {
+    eq.run();
+    return;
+  }
+  for (auto& c : clocks) c.next = eq.now() + c.period;
   for (;;) {
     const auto nt = eq.peek_next_tick();
     if (!nt) break;
-    while (*nt > next) {
-      tl.sample(next);
-      // Epoch-boundary control (QoS supervisor): runs between events, so
-      // knob writes are safe and consume no (tick, seq) numbers.
-      if (on_epoch) on_epoch();
-      next += period;
+    for (;;) {
+      EpochClock* due = nullptr;
+      for (auto& c : clocks)
+        if (c.next < *nt && (!due || c.next < due->next)) due = &c;
+      if (!due) break;
+      eq.run_until(due->next);
+      due->at(due->next);
+      due->next += due->period;
     }
     eq.step();
   }
@@ -512,7 +351,7 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
     throw std::invalid_argument("invalid scenario '" + raw.name + "': " + err);
   const ScenarioSpec spec = scaled(raw, scale);
 
-  Ctx cx{m_, spec, f_.backend(), seed, {}, {}, {}, {}, 0, {}, 0, false};
+  Ctx cx{m_, spec, f_.backend(), {}, {}, {}, 0, {}};
 
   // Fault plane: armed before any actor is spawned, so its stall events
   // hold fixed positions in the deterministic (tick, seq) stream.
@@ -527,31 +366,11 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   }
 
   // --- replay / record / lifecycle hookup -----------------------------------
-  // All wired before any actor spawns: the spawn site picks the producer
-  // flavour, and the recorder must be live before the first send.
-  cx.trace = spec.replay;
-  if (cx.trace) {
-    if (cx.trace->sharded)
-      throw std::invalid_argument(
-          "replay: trace '" + cx.trace->scenario +
-          "' was recorded by the sharded engine; replay it via run_sharded");
-    if (cx.trace->producers != static_cast<std::uint32_t>(spec.producers) ||
-        cx.trace->tenants != spec.tenants.size())
-      throw std::invalid_argument(
-          "replay: trace shape (producers=" +
-          std::to_string(cx.trace->producers) +
-          ", tenants=" + std::to_string(cx.trace->tenants) +
-          ") does not match scenario '" + spec.name + "' (producers=" +
-          std::to_string(spec.producers) +
-          ", tenants=" + std::to_string(spec.tenants.size()) + ")");
-  }
-  if (obs && obs->recorder) {
-    cx.rec = obs->recorder;
-    cx.rec->begin(spec.name, squeue::to_string(f_.backend()), seed,
-                  static_cast<std::uint32_t>(spec.producers),
-                  static_cast<std::uint32_t>(spec.tenants.size()),
-                  /*sharded=*/false);
-  }
+  // All wired before any actor spawns: the spawn site picks each
+  // producer's message source, and the recorder must be live before the
+  // first send.
+  cx.rec = wire::begin_trace_io(spec, f_.backend(), seed, obs,
+                                /*sharded=*/false);
   std::unique_ptr<replay::LifecyclePlane> lplane;
   if (!spec.lifecycle.empty()) {
     if (spec.lifecycle.has_reconfig() &&
@@ -602,13 +421,13 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   // --- wire the topology ----------------------------------------------------
   std::uint8_t frame = 1;
   for (const auto& t : spec.tenants)
-    frame = std::max(frame, cx.payload_words(t));
+    frame = std::max(frame, wire::payload_words(cx.backend, t.msg_words));
   // A foreign trace may carry wider payloads than the spec. CAF stays at
-  // its single-word frame: the replay producer clamps record widths to 1
-  // there (see payload_words), so widening the channel would desynchronize
-  // the fixed frame length from the messages actually sent.
-  if (cx.trace && cx.backend != squeue::Backend::kCaf)
-    for (const auto& r : cx.trace->records) frame = std::max(frame, r.words);
+  // its single-word frame: replayed record widths clamp to 1 there (see
+  // wire::payload_words), so widening the channel would desynchronize the
+  // fixed frame length from the messages actually sent.
+  if (spec.replay && cx.backend != squeue::Backend::kCaf)
+    for (const auto& r : spec.replay->records) frame = std::max(frame, r.words);
 
   const int nstages = spec.topology == Topology::kPipeline ? spec.stages : 1;
   for (int s = 0; s < nstages; ++s) {
@@ -628,12 +447,6 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
     }
     cx.stages.push_back(std::move(st));
   }
-  for (auto& st : cx.stages)
-    for (auto& sc : st.channels) {
-      DepthSeries d;
-      d.channel = sc.label;
-      cx.depths.push_back(std::move(d));
-    }
 
   if (spec.closed_loop)
     for (int p = 0; p < spec.producers; ++p)
@@ -651,7 +464,6 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   const std::vector<int> split = tenant_producer_split(spec);
   cx.producers_remaining = 0;
   for (int n : split) cx.producers_remaining += n;
-  cx.consumers_remaining = cx.stages.back().workers_remaining;
 
   CoreId core = 0;
   auto next_thread = [&] {
@@ -662,12 +474,17 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
 
   int pid = 0;
   for (std::size_t ti = 0; ti < split.size(); ++ti)
-    for (int k = 0; k < split[ti]; ++k) {
-      if (cx.trace)
-        sim::spawn(replay_producer(cx, next_thread(), static_cast<int>(ti),
-                                   pid++));
-      else
-        sim::spawn(producer(cx, next_thread(), static_cast<int>(ti), pid++));
+    for (int k = 0; k < split[ti]; ++k, ++pid) {
+      const TenantSpec& ts = spec.tenants[ti];
+      wire::MessageSource src =
+          spec.replay ? wire::MessageSource(*spec.replay, pid, cx.backend)
+                      : wire::MessageSource(
+                            ts, cx.backend, ts.messages_per_producer,
+                            wire::split_seed(seed, pid),
+                            wire::split_seed(seed, 0x4000 + pid),
+                            spec.topology == Topology::kFanOut);
+      sim::spawn(producer(cx, next_thread(), static_cast<int>(ti), pid,
+                          std::move(src)));
     }
   for (std::size_t s = 0; s < cx.stages.size(); ++s)
     for (std::size_t c = 0; c < cx.stages[s].channels.size(); ++c)
@@ -675,32 +492,30 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
         sim::spawn(worker(cx, next_thread(), static_cast<int>(s),
                           static_cast<int>(c)));
   sim::spawn(coordinator(cx, next_thread()));
-  sim::spawn(depth_sampler(cx));
 
-  // --- observability hookup (zero-perturbation: see run_sampled) ------------
-  // The supervisor consumes timeline cuts, so a supervised run without
-  // caller-provided hooks still samples — into a private local timeline.
-  const bool want_sup = spec.supervisor && spec.qos &&
-                        (f_.backend() == squeue::Backend::kVl ||
-                         f_.backend() == squeue::Backend::kCaf);
-  obs::Timeline local_tl;
+  // --- observability and control (neither schedules an event) -------------
   obs::Timeline* tl = obs ? obs->timeline : nullptr;
-  if (want_sup && !tl) tl = &local_tl;
-  if (tl) register_series(*tl, cx, m_, f_);
-  if (tl && cx.fp) cx.fp->register_series(*tl);
-
-  std::unique_ptr<runtime::QosSupervisor> sup;
-  if (want_sup) {
-    bool present[kQosClasses] = {};
-    for (const auto& t : spec.tenants)
-      present[static_cast<std::size_t>(t.qos)] = true;
-    sup = std::make_unique<runtime::QosSupervisor>(
-        runtime::QosSupervisor::Config{}, present);
-    sup->attach(m_.cfg(), channel_demand_for(spec, f_.backend(), m_.cfg()),
-                f_.backend() == squeue::Backend::kVl ? &m_.cluster() : nullptr,
-                f_.backend() == squeue::Backend::kCaf ? &f_.caf_device()
-                                                      : nullptr);
-    sup->register_series(*tl);
+  std::vector<EpochClock> clocks;
+  if (tl) {
+    register_series(*tl, cx, m_, f_);
+    if (cx.fp) cx.fp->register_series(*tl);
+    clocks.push_back({std::max<Tick>(obs->sample_every, 1),
+                      [tl](Tick at) { tl->sample(at); }});
+  }
+  // The supervisor reads its own private timeline on its own fixed clock,
+  // so attaching hooks (or changing their cadence) cannot change what it
+  // decides. It only reads the latest cut, so one epoch is retained.
+  obs::Timeline sup_tl(1);
+  std::unique_ptr<runtime::QosSupervisor> sup =
+      wire::make_supervisor(spec, f_.backend());
+  if (sup) {
+    wire::attach_machine(*sup, spec, f_.backend(), m_, f_);
+    register_class_series(sup_tl, tenants_of(cx));
+    if (tl) sup->register_series(*tl);
+    clocks.push_back({kSupervisorPeriod, [&](Tick at) {
+                        sup_tl.sample(at);
+                        sup->on_epoch(sup_tl);
+                      }});
   }
   if (obs && obs->tracer) {
     m_.eq().set_trace(&obs->tracer->buffer(0));
@@ -709,17 +524,7 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
 
   const Tick t0 = m_.now();
   const std::uint64_t ev0 = m_.eq().executed();
-  if (tl) {
-    // Control cadence when no external sampling is requested: 2500 ticks
-    // keeps the supervisor's reaction time (a few epochs) well inside one
-    // bulk burst dwell.
-    const Tick period = obs ? obs->sample_every : Tick{2500};
-    std::function<void()> on_epoch;
-    if (sup) on_epoch = [&] { sup->on_epoch(*tl); };
-    run_sampled(m_, *tl, period, on_epoch);
-  } else {
-    m_.run();
-  }
+  run_sampled(m_.eq(), std::move(clocks));
   if (tl) {
     // Final cumulative sample: the last epoch's class series equal the
     // end-of-run ScenarioMetrics by construction (same aggregation, same
@@ -730,6 +535,18 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   }
   m_.eq().set_trace(nullptr);
 
+  // A drained queue with workers still parked is a stranded consumer
+  // (lost pill, protocol deadlock): fail loudly rather than report a
+  // partial run.
+  std::string stuck;
+  for (const Stage& st : cx.stages)
+    for (const StageChannel& sc : st.channels)
+      if (sc.workers_done < sc.workers) stuck += " " + sc.label;
+  if (!stuck.empty())
+    throw std::runtime_error("scenario '" + spec.name +
+                             "': queue drained with workers still waiting "
+                             "on stage channels" + stuck);
+
   // --- collect --------------------------------------------------------------
   EngineResult r;
   r.scenario = spec.name;
@@ -738,7 +555,6 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   r.scale = scale;
   r.events = m_.eq().executed() - ev0;
   r.metrics.tenants = std::move(cx.tenants);
-  r.metrics.depths = std::move(cx.depths);
   r.metrics.ticks = m_.now() - t0;
   r.metrics.ns = m_.ns(r.metrics.ticks);
   r.device_stats = m_.statset();

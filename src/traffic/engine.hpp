@@ -1,13 +1,11 @@
 #pragma once
 // The traffic engine: instantiates a ScenarioSpec over a ChannelFactory,
 // spawns producer / relay / consumer SimThreads, drives open- or
-// closed-loop load, and collects per-tenant latency + queue-depth metrics.
+// closed-loop load, and collects per-tenant latency metrics.
 //
-// Message framing: word 0 of every payload message carries
-//   [63:56] tenant id   [55:48] producer id   [47:0] send tick
-// so any final-stage consumer can attribute latency to a tenant and route
-// closed-loop acks back to the producer, with no out-of-band lookup state.
-// Remaining words are deterministic filler to the tenant's msg_words.
+// Message framing (traffic/wire.hpp): word 0 of every payload message
+// carries the tenant, producer and send tick, so any final-stage consumer
+// can attribute latency and route closed-loop acks with no lookup state.
 //
 // Termination uses pilot pills: when the last producer finishes, a
 // coordinator thread enqueues one poison pill per first-stage consumer;
@@ -60,7 +58,11 @@ class Engine {
   /// sampled every obs->sample_every ticks, a Tracer gets the machine's
   /// event stream (pid 0). Observation is external to the event loop — it
   /// schedules nothing and consumes no (tick, seq) numbers — so results
-  /// are byte-identical with and without it.
+  /// are byte-identical with and without it. A supervised run's QoS
+  /// supervisor samples on its own fixed clock, whatever `obs` carries.
+  ///
+  /// Throws std::runtime_error when the queue drains with a final-stage
+  /// worker still waiting (a stranded consumer), naming its channel.
   EngineResult run(const ScenarioSpec& spec, std::uint64_t seed,
                    int scale = 1, const obs::RunHooks* obs = nullptr);
 

@@ -1,6 +1,7 @@
 #pragma once
 // Traffic-engine metrics: HDR-style log-bucketed latency histograms with
-// percentile queries, per-tenant counters, and queue-depth summaries.
+// percentile queries, per-tenant counters, and the per-class timeline
+// series both engines publish.
 //
 // common/stats.hpp's Samples stores every observation for exact
 // percentiles, which is fine for bounded Table-II kernels but not for
@@ -11,11 +12,16 @@
 // the relative quantile error at 1/32 (~3.1%).
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
+
+namespace vl::obs {
+class Timeline;
+}
 
 namespace vl::traffic {
 
@@ -102,17 +108,9 @@ struct ClassAgg {
   double slo_attained_pct() const;   ///< 100 when no member has an SLO
 };
 
-/// Periodic queue-depth observations for one channel.
-struct DepthSeries {
-  std::string channel;
-  Summary depth;                ///< Streaming mean/max over samples.
-  std::uint64_t samples = 0;
-};
-
 /// Everything one scenario run measured.
 struct ScenarioMetrics {
   std::vector<TenantMetrics> tenants;
-  std::vector<DepthSeries> depths;
   Tick ticks = 0;               ///< Simulated duration of the run.
   double ns = 0.0;
 
@@ -122,9 +120,9 @@ struct ScenarioMetrics {
 
   /// Fold another run's metrics in — the per-shard aggregation the sharded
   /// engine uses. Tenants are matched by name (histograms merged, counters
-  /// summed; unmatched tenants appended), depth series are appended, and
-  /// ticks/ns take the max: shards run the same virtual clock, so the
-  /// merged duration is the latest finisher, not the sum.
+  /// summed; unmatched tenants appended), and ticks/ns take the max: shards
+  /// run the same virtual clock, so the merged duration is the latest
+  /// finisher, not the sum.
   void merge(const ScenarioMetrics& o);
 
   /// Per-class aggregation, ascending class order, classes present only.
@@ -146,5 +144,17 @@ struct ScenarioMetrics {
   /// stop parsing the human table.
   std::string json() const;
 };
+
+/// Calls its argument once per TenantMetrics of a run — every shard's, on
+/// a sharded run.
+using TenantVisitor =
+    std::function<void(const std::function<void(const TenantMetrics&)>&)>;
+
+/// Register the per-class cumulative series "class.<cls>.delivered",
+/// ".sent", ".blocked_ticks", ".p99", ".slo_within" and ".slo_att_pct" for
+/// every class `each` visits. They aggregate the class's tenants exactly
+/// the way ScenarioMetrics::by_class() does, so a final epoch equals the
+/// end-of-run report. The closures call `each` at every sample.
+void register_class_series(obs::Timeline& tl, const TenantVisitor& each);
 
 }  // namespace vl::traffic

@@ -98,7 +98,6 @@ struct ScenarioSpec {
                              ///< channels from the final consumers.
   Tick produce_compute = 0;  ///< Core cycles of work before each send.
   Tick consume_compute = 0;  ///< Core cycles of work per delivery.
-  Tick depth_sample_period = 500;  ///< Queue-depth sampling cadence.
   /// Enforce tenant QoS classes in hardware: weighted per-class credit
   /// caps on the CAF device and weighted per-class prodBuf quotas on the
   /// VLRD (see traffic::machine_config_for). Software backends (BLFQ/ZMQ)

@@ -7,13 +7,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "fault/plane.hpp"
-#include "replay/trace.hpp"
 #include "runtime/qos_supervisor.hpp"
 #include "sim/sharded.hpp"
 #include "sim/task.hpp"
 #include "traffic/shard_router.hpp"
+#include "traffic/wire.hpp"
 
 namespace vl::traffic {
 
@@ -23,24 +22,12 @@ using squeue::Channel;
 using squeue::Msg;
 using sim::Co;
 using sim::SimThread;
+using wire::kPillTenant;
+using wire::kTickMask;
 
-constexpr std::uint64_t kTickMask = (std::uint64_t{1} << 48) - 1;
-constexpr std::uint64_t kPillTenant = 0xff;
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 constexpr Tick kWindowBackoff = 32;  ///< Retry gap when a link is full.
 constexpr std::uint64_t kRebalancePeriod = 64;  ///< Barriers between checks.
-
-std::uint64_t split_seed(std::uint64_t seed, std::uint64_t salt) {
-  return seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
-}
-
-/// Same framing as the classic engine, with the class index in the tenant
-/// byte: logical tenants are a population of ids, so metrics aggregate per
-/// service class rather than per id.
-std::uint64_t stamp(int cls, int pid, Tick now) {
-  return (static_cast<std::uint64_t>(cls) << 56) |
-         (static_cast<std::uint64_t>(pid & 0xff) << 48) | (now & kTickMask);
-}
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -70,11 +57,12 @@ struct ShardCtx {
   bool stop = false;  ///< All producers (mesh-wide) done; relay may poison.
 
   int producers_remaining = 0;
-  int workers_remaining = 0;
-  bool all_done = false;  ///< Final worker exited; sampler unwinds.
+  std::vector<bool> chan_done;  ///< Channel's worker reached its target.
 
-  std::vector<TenantMetrics> classes;  ///< One per spec tenant (class).
-  std::vector<DepthSeries> depths;
+  /// One per spec tenant (class). The stamp's tenant byte is the class
+  /// index: logical tenants are a population of ids, so metrics aggregate
+  /// per service class rather than per id.
+  std::vector<TenantMetrics> classes;
   std::uint64_t digest = kFnvBasis;  ///< (tick, stamp) event-stream fold.
   std::uint64_t cross_in = 0;        ///< Messages that arrived over links.
   std::uint64_t delivered = 0;
@@ -88,7 +76,6 @@ struct ShardCtx {
 struct Mesh {
   const ScenarioSpec& spec;
   squeue::Backend backend;
-  std::uint64_t seed;
   std::uint64_t population;
   sim::ShardedSim& ssim;
   ShardRouter& router;
@@ -103,85 +90,68 @@ struct Mesh {
   /// preallocated by begin(), so threaded shards appending to their own
   /// producers' streams never race.
   replay::TraceRecorder* rec = nullptr;
-  /// Replay source: producers re-offer the trace's per-gpid streams; the
-  /// recorded dst is the *logical destination tenant*, so the router
-  /// re-resolves shard/channel placement at replay time. Null on live runs.
-  const replay::Trace* trace = nullptr;
-
-  std::uint8_t payload_words(const TenantSpec& t) const {
-    return backend == squeue::Backend::kCaf ? std::uint8_t{1} : t.msg_words;
-  }
-  /// Termination pill; the stamp bits [47:0] carry the channel's payload
-  /// count so the worker drains to the count rather than trusting arrival
-  /// order (VL's injection-retry recovery can surface the pill ahead of a
-  /// straggling payload line).
-  Msg make_pill(std::uint64_t count) const {
-    Msg p;
-    p.n = 1;
-    p.w[0] = (kPillTenant << 56) | (count & kTickMask);
-    return p;
-  }
 };
 
-/// One producer thread on shard `home`. Each message draws a destination
-/// tenant from the population; the router decides which shard (and the
-/// tenant hash which channel) serves it. Local messages accumulate into
-/// per-channel sub-batches flushed at lap end; remote messages post onto
-/// the inter-shard link as they are generated (the destination relay does
-/// the batched injection).
+/// One producer thread on shard `home`, live or replaying. Each message
+/// has a logical destination tenant — drawn from the population, or the
+/// recorded one — and the router decides which shard (and the tenant hash
+/// which channel) serves it, so a replay under a different shard count or
+/// with rebalancing still delivers the same per-class message set. Local
+/// messages accumulate into per-channel sub-batches flushed at lap end;
+/// remote messages post onto the inter-shard link as they are generated
+/// (the destination relay does the batched injection). A replayed stream
+/// is post-shed, so fault loss/dup, gap scaling and produce_compute are
+/// switched off here, once.
 Co<void> producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls, int gpid,
-                  std::uint64_t target) {
+                  wire::MessageSource src) {
   const TenantSpec& ts = mesh.spec.tenants[static_cast<std::size_t>(cls)];
-  auto arrival = make_arrival(ts.arrival, split_seed(mesh.seed, 0x5000 + gpid));
-  Xoshiro256 dest_rng(split_seed(mesh.seed, 0x6000 + gpid));
+  const bool live = src.live();
+  fault::FaultPlane* fp = live ? mesh.fp : nullptr;
+  const bool chan_faults = live && mesh.chan_faults;
+  const Tick compute = live ? mesh.spec.produce_compute : 0;
   auto& eq = cx.m->eq();
   auto& tm = cx.classes[static_cast<std::size_t>(cls)];
-  const std::uint8_t words = mesh.payload_words(ts);
   const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
+  const std::uint64_t target = src.budget();
   const int home = cx.id;
 
   std::vector<std::vector<Msg>> sub(cx.channels.size());
   for (std::uint64_t i = 0; i < target;) {
     // One lap: accumulate up to `batch` messages, each paced by the
-    // arrival process and routed individually — local ones into
-    // per-channel sub-batches, remote ones straight onto their link.
+    // source and routed individually — local ones into per-channel
+    // sub-batches, remote ones straight onto their link.
     for (std::uint64_t b = 0; b < batch && i < target; ++b, ++i) {
-      Tick gap = arrival->next_gap(eq.now());
-      if (mesh.fp) gap = mesh.fp->scale_gap(home, ts.qos, eq.now(), gap);
+      Tick gap = src.next_gap(eq.now());
+      if (fp) gap = fp->scale_gap(home, ts.qos, eq.now(), gap);
       if (gap) co_await sim::Delay(eq, gap);
-      if (mesh.spec.produce_compute)
-        co_await t.compute(mesh.spec.produce_compute);
+      if (compute) co_await t.compute(compute);
 
       ++tm.generated;
       // Channel-level fault fate, decided before the message joins a
       // sub-batch or a link — what was dropped is never counted as sent,
-      // so the pill drain counts stay exact.
+      // so the pill drain counts stay exact. A lost message draws no
+      // destination.
       int copies = 1;
-      if (mesh.chan_faults) {
-        copies = mesh.fp->chan_copies(home, eq.now());
+      if (chan_faults) {
+        copies = fp->chan_copies(home, eq.now());
         if (copies == 0) {
           ++tm.dropped;
           continue;
         }
       }
-      const std::uint64_t dest = dest_rng.below(mesh.population);
-      const int dst = mesh.router.shard_for(dest);
+      const wire::MessageSource::Draw draw = src.take(mesh.population);
+      const int dst = mesh.router.shard_for(draw.dst);
       const int nch_dst =
           static_cast<int>(mesh.shards[static_cast<std::size_t>(dst)]
                                ->channels.size());
-      const int ch = static_cast<int>(ShardRouter::hash(dest) %
+      const int ch = static_cast<int>(ShardRouter::hash(draw.dst) %
                                       static_cast<std::uint64_t>(nch_dst));
-      Msg msg;
-      msg.n = words;
-      msg.qos = ts.qos;
-      msg.w[0] = stamp(cls, gpid, eq.now());
-      for (std::uint8_t w = 1; w < words; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(cls) << 32) | i;
+      const Msg msg = wire::make_msg(draw, cls, gpid, eq.now(), i);
       if (mesh.rec)
         for (int k = 0; k < copies; ++k)
           mesh.rec->on_send(static_cast<std::uint16_t>(gpid),
                             static_cast<std::uint16_t>(cls), msg.qos, msg.n,
-                            dest, eq.now());
+                            draw.dst, eq.now());
 
       if (dst == home) {
         for (int k = 0; k < copies; ++k)
@@ -220,85 +190,13 @@ Co<void> producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls, int gpid,
   --cx.producers_remaining;  // the barrier hook polls this
 }
 
-/// Replay-mode producer: re-offers the trace's per-gpid stream. Pacing
-/// reconstructs each record's absolute generation tick; the recorded dst
-/// is the logical destination tenant, re-resolved through the router, so
-/// a replay under a different shard count (or with rebalancing) still
-/// delivers the same per-class message set.
-Co<void> replay_producer(Mesh& mesh, ShardCtx& cx, SimThread t, int cls,
-                         int gpid) {
-  const TenantSpec& ts = mesh.spec.tenants[static_cast<std::size_t>(cls)];
-  auto& eq = cx.m->eq();
-  auto& tm = cx.classes[static_cast<std::size_t>(cls)];
-  const std::uint64_t batch = std::max<std::uint32_t>(ts.batch, 1);
-  const int home = cx.id;
-  replay::TraceArrival rep(*mesh.trace, static_cast<std::uint16_t>(gpid));
-
-  std::vector<std::vector<Msg>> sub(cx.channels.size());
-  while (!rep.done()) {
-    for (std::uint64_t b = 0; b < batch && !rep.done(); ++b) {
-      const Tick gap = rep.next_gap(eq.now());
-      if (gap) co_await sim::Delay(eq, gap);
-      const replay::TraceRecord& r0 = rep.record();
-      ++tm.generated;
-      const std::uint64_t dest = r0.dst % mesh.population;
-      const int dst = mesh.router.shard_for(dest);
-      const int nch_dst =
-          static_cast<int>(mesh.shards[static_cast<std::size_t>(dst)]
-                               ->channels.size());
-      const int ch = static_cast<int>(ShardRouter::hash(dest) %
-                                      static_cast<std::uint64_t>(nch_dst));
-      Msg msg;
-      msg.n = mesh.backend == squeue::Backend::kCaf ? std::uint8_t{1}
-                                                    : r0.words;
-      msg.qos = r0.cls;
-      msg.w[0] = stamp(cls, gpid, eq.now());
-      for (std::uint8_t w = 1; w < msg.n; ++w)
-        msg.w[w] = (static_cast<std::uint64_t>(cls) << 32) | b;
-      if (mesh.rec)  // re-recording a replay reproduces the trace
-        mesh.rec->on_send(static_cast<std::uint16_t>(gpid),
-                          static_cast<std::uint16_t>(cls), msg.qos, msg.n,
-                          dest, eq.now());
-      rep.advance();
-
-      if (dst == home) {
-        sub[static_cast<std::size_t>(ch)].push_back(msg);
-        continue;
-      }
-      while (!mesh.ssim.can_post(home, dst)) {
-        co_await sim::Delay(eq, kWindowBackoff);
-        tm.blocked_ticks += kWindowBackoff;
-      }
-      ShardCtx* d = mesh.shards[static_cast<std::size_t>(dst)].get();
-      mesh.ssim.post(home, dst, [d, msg, ch] {
-        d->digest = fnv1a(d->digest, d->m->now());
-        d->digest = fnv1a(d->digest, msg.w[0]);
-        ++d->cross_in;
-        d->ingress.push_back(InMsg{msg, ch});
-        d->ingress_wq->wake_one();
-      });
-      ++tm.sent;
-    }
-    for (std::size_t c = 0; c < sub.size(); ++c) {
-      if (sub[c].empty()) continue;
-      const Tick send_start = eq.now();
-      co_await cx.channels[c]->send_many(t, sub[c]);
-      tm.blocked_ticks += eq.now() - send_start;
-      tm.sent += sub[c].size();
-      cx.chan_sent[c] += sub[c].size();
-      sub[c].clear();
-    }
-  }
-  --cx.producers_remaining;
-}
-
 /// Per-shard link relay: drains the ingress deque into per-channel
 /// sub-batches and injects them with one send_many per channel. Once the
 /// stop flag is up (all producers mesh-wide finished — every delivery is
 /// already scheduled, and same-tick events fire in schedule order, so the
 /// flag can never overtake payload) and the ingress is dry, it poisons
 /// each channel's sole worker.
-Co<void> relay(Mesh& mesh, ShardCtx& cx, SimThread t) {
+Co<void> relay(ShardCtx& cx, SimThread t) {
   std::vector<std::vector<Msg>> sub(cx.channels.size());
   for (;;) {
     const auto gate = cx.ingress_wq->epoch();
@@ -320,7 +218,7 @@ Co<void> relay(Mesh& mesh, ShardCtx& cx, SimThread t) {
     }
   }
   for (std::size_t c = 0; c < cx.channels.size(); ++c)
-    co_await cx.channels[c]->send(t, mesh.make_pill(cx.chan_sent[c]));
+    co_await cx.channels[c]->send(t, wire::make_pill(cx.chan_sent[c]));
 }
 
 /// Sole consumer of one channel: batched opportunistic drain, per-class
@@ -354,63 +252,27 @@ Co<void> worker(Mesh& mesh, ShardCtx& cx, SimThread t, int ci) {
       ++received;
     }
   }
-  if (--cx.workers_remaining == 0) cx.all_done = true;
+  cx.chan_done[static_cast<std::size_t>(ci)] = true;
 }
 
-Co<void> depth_sampler(Mesh& mesh, ShardCtx& cx) {
-  for (;;) {
-    for (std::size_t c = 0; c < cx.channels.size(); ++c) {
-      auto& d = cx.depths[c];
-      d.depth.record(static_cast<double>(cx.channels[c]->depth()));
-      ++d.samples;
-    }
-    if (cx.all_done) break;
-    co_await sim::Delay(cx.m->eq(), mesh.spec.depth_sample_period);
-  }
-}
-
-/// Mesh-wide timeline series: the classic engine's per-class set folded
-/// over every shard, plus the sharded-only signals (per-shard link window
-/// stalls, cross-link ingress). Closures are evaluated only at the
+/// Mesh-wide timeline series: the classic engine's set summed over every
+/// shard, plus the sharded-only signals (cross-link ingress, per-shard link
+/// window and partition stalls). Closures are evaluated only at the
 /// single-threaded barrier, so threaded stepping races on nothing.
 void register_sharded_series(obs::Timeline& tl, Mesh& mesh) {
   auto& shards = mesh.shards;
-  tl.add_series("eq.executed", [&mesh] {
-    return static_cast<double>(mesh.ssim.executed());
-  });
-  tl.add_series("chan.depth", [&shards] {
-    std::uint64_t d = 0;
-    for (const auto& cx : shards)
-      for (const auto& ch : cx->channels) d += ch->depth();
-    return static_cast<double>(d);
+  wire::register_device_series(tl, mesh.backend, [&shards](const auto& fn) {
+    for (const auto& cx : shards) {
+      std::uint64_t depth = 0;
+      for (const auto& ch : cx->channels) depth += ch->depth();
+      fn(*cx->m, *cx->f, depth);
+    }
   });
   tl.add_series("cross_shard.ingress", [&shards] {
     std::uint64_t n = 0;
     for (const auto& cx : shards) n += cx->cross_in;
     return static_cast<double>(n);
   });
-  tl.add_series("vlrd.push_quota_nacks", [&shards] {
-    std::uint64_t n = 0;
-    for (const auto& cx : shards) n += cx->m->vlrd_stats().push_quota_nacks;
-    return static_cast<double>(n);
-  });
-  tl.add_series("vlrd.fetch_nacks", [&shards] {
-    std::uint64_t n = 0;
-    for (const auto& cx : shards) n += cx->m->vlrd_stats().fetch_nacks;
-    return static_cast<double>(n);
-  });
-  if (mesh.backend == squeue::Backend::kCaf) {
-    for (std::size_t c = 0; c < kQosClasses; ++c) {
-      const auto cls = static_cast<QosClass>(c);
-      tl.add_series(std::string("caf.occupancy.") + to_string(cls),
-                    [&shards, cls] {
-                      std::uint64_t n = 0;
-                      for (const auto& cx : shards)
-                        n += cx->f->caf_device().class_occupancy(cls);
-                      return static_cast<double>(n);
-                    });
-    }
-  }
   for (int sh = 0; sh < static_cast<int>(shards.size()); ++sh) {
     tl.add_series("shard" + std::to_string(sh) + ".window_stalls",
                   [&mesh, sh] {
@@ -424,63 +286,11 @@ void register_sharded_series(obs::Timeline& tl, Mesh& mesh) {
                   });
   }
 
-  bool present[kQosClasses] = {};
-  for (const auto& t : mesh.spec.tenants)
-    present[static_cast<std::size_t>(t.qos)] = true;
-  for (std::size_t ci = 0; ci < kQosClasses; ++ci) {
-    if (!present[ci]) continue;
-    const auto cls = static_cast<QosClass>(ci);
-    const std::string base = std::string("class.") + to_string(cls) + ".";
-    auto fold = [&shards, cls](auto&& view) {
-      double acc = 0.0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls) acc += view(t);
-      return acc;
-    };
-    tl.add_series(base + "delivered", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.delivered);
+  register_class_series(
+      tl, [&shards](const std::function<void(const TenantMetrics&)>& fn) {
+        for (const auto& cx : shards)
+          for (const auto& t : cx->classes) fn(t);
       });
-    });
-    tl.add_series(base + "sent", [fold] {
-      return fold(
-          [](const TenantMetrics& t) { return static_cast<double>(t.sent); });
-    });
-    tl.add_series(base + "blocked_ticks", [fold] {
-      return fold([](const TenantMetrics& t) {
-        return static_cast<double>(t.blocked_ticks);
-      });
-    });
-    tl.add_series(base + "p99", [&shards, cls] {
-      LogHistogram h;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls) h.merge(t.latency);
-      return static_cast<double>(h.percentile(99));
-    });
-    tl.add_series(base + "slo_within", [&shards, cls] {
-      // Raw in-SLO delivery counter; the QoS supervisor windows it against
-      // `delivered` for a per-epoch attainment signal.
-      std::uint64_t within = 0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes)
-          if (t.qos == cls && t.slo_p99) within += t.slo_within();
-      return static_cast<double>(within);
-    });
-    tl.add_series(base + "slo_att_pct", [&shards, cls] {
-      std::uint64_t slo_delivered = 0, slo_within = 0;
-      for (const auto& cx : shards)
-        for (const auto& t : cx->classes) {
-          if (t.qos != cls || !t.slo_p99) continue;
-          slo_delivered += t.delivered;
-          slo_within += t.slo_within();
-        }
-      if (!slo_delivered) return 100.0;
-      return 100.0 * static_cast<double>(slo_within) /
-             static_cast<double>(slo_delivered);
-    });
-  }
 }
 
 }  // namespace
@@ -517,20 +327,8 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   if (!spec.lifecycle.empty())
     throw std::invalid_argument(
         "lifecycle events (churn/reconfig) run on the classic engine only");
-  if (spec.replay) {
-    if (!spec.replay->sharded)
-      throw std::invalid_argument(
-          "replay: trace '" + spec.replay->scenario +
-          "' was recorded by the classic engine; replay it via traffic::run");
-    if (spec.replay->producers !=
-            static_cast<std::uint32_t>(spec.producers) ||
-        spec.replay->tenants != spec.tenants.size())
-      throw std::invalid_argument(
-          "replay: trace shape (producers=" +
-          std::to_string(spec.replay->producers) +
-          ", tenants=" + std::to_string(spec.replay->tenants) +
-          ") does not match scenario '" + spec.name + "'");
-  }
+  replay::TraceRecorder* rec = wire::begin_trace_io(
+      spec, backend, seed, opts.obs, /*sharded=*/true);
 
   ShardRouter router(S);
   sim::ShardedSim ssim(spec.sharding.link_latency, opts.sim_threads);
@@ -551,23 +349,12 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   std::unique_ptr<fault::FaultPlane> plane;
   if (!spec.faults.empty())
     plane = std::make_unique<fault::FaultPlane>(spec.faults, S);
-  const bool want_sup = spec.supervisor && spec.qos &&
-                        (backend == squeue::Backend::kVl ||
-                         backend == squeue::Backend::kCaf);
-  std::unique_ptr<runtime::QosSupervisor> sup;
-  if (want_sup) {
-    bool present[kQosClasses] = {};
-    for (const auto& t : spec.tenants)
-      present[static_cast<std::size_t>(t.qos)] = true;
-    sup = std::make_unique<runtime::QosSupervisor>(
-        runtime::QosSupervisor::Config{}, present);
-  }
+  std::unique_ptr<runtime::QosSupervisor> sup =
+      wire::make_supervisor(spec, backend);
 
   std::uint8_t frame = 1;
   for (const auto& t : spec.tenants)
-    frame = std::max(frame, backend == squeue::Backend::kCaf
-                                ? std::uint8_t{1}
-                                : t.msg_words);
+    frame = std::max(frame, wire::payload_words(backend, t.msg_words));
   for (int sh = 0; sh < S; ++sh) {
     auto cx = std::make_unique<ShardCtx>();
     cx->id = sh;
@@ -581,21 +368,15 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
         machine_config_for(node, backend));
     cx->f = std::make_unique<squeue::ChannelFactory>(*cx->m, backend);
     if (plane) plane->arm_machine(*cx->m, sh);
-    if (sup)
-      sup->attach(cx->m->cfg(), channel_demand_for(node, backend, cx->m->cfg()),
-                  backend == squeue::Backend::kVl ? &cx->m->cluster() : nullptr,
-                  backend == squeue::Backend::kCaf ? &cx->f->caf_device()
-                                                   : nullptr);
+    if (sup) wire::attach_machine(*sup, node, backend, *cx->m, *cx->f);
     for (int c = 0; c < nch[static_cast<std::size_t>(sh)]; ++c) {
       const std::string label =
           "sh" + std::to_string(sh) + "c" + std::to_string(c);
       cx->channels.push_back(cx->f->make(label, spec.capacity_hint, frame));
-      DepthSeries d;
-      d.channel = label;
-      cx->depths.push_back(std::move(d));
     }
     cx->ingress_wq = std::make_unique<sim::WaitQueue>(cx->m->eq());
     cx->chan_sent.assign(cx->channels.size(), 0);
+    cx->chan_done.assign(cx->channels.size(), false);
     for (const auto& t : spec.tenants) {
       TenantMetrics tm;
       tm.tenant = t.name;
@@ -604,24 +385,16 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
       cx->classes.push_back(std::move(tm));
     }
     cx->producers_remaining = np[static_cast<std::size_t>(sh)];
-    cx->workers_remaining = nch[static_cast<std::size_t>(sh)];
     ssim.add_shard(cx->m->eq());
     shards.push_back(std::move(cx));
   }
 
-  Mesh mesh{spec, backend, seed, population, ssim, router, shards};
+  Mesh mesh{spec, backend, population, ssim, router, shards};
   mesh.fp = plane.get();
   mesh.chan_faults = plane && plane->mutates_channels() &&
                      (backend == squeue::Backend::kBlfq ||
                       backend == squeue::Backend::kZmq);
-  mesh.trace = spec.replay;
-  if (opts.obs && opts.obs->recorder) {
-    mesh.rec = opts.obs->recorder;
-    mesh.rec->begin(spec.name, squeue::to_string(backend), seed,
-                    static_cast<std::uint32_t>(spec.producers),
-                    static_cast<std::uint32_t>(spec.tenants.size()),
-                    /*sharded=*/true);
-  }
+  mesh.rec = rec;
 
   // --- observability hookup -------------------------------------------------
   // A supervised run samples even without caller hooks — into a private
@@ -676,26 +449,25 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
       core = (core + 1) % cx.m->num_cores();
       return cx.m->thread_on(c);
     };
-    sim::spawn(relay(mesh, cx, next_thread()));
+    sim::spawn(relay(cx, next_thread()));
     for (int c = 0; c < static_cast<int>(cx.channels.size()); ++c)
       sim::spawn(worker(mesh, cx, next_thread(), c));
     for (int p = sh; p < spec.producers; p += S) {
-      if (mesh.trace) {
-        // Replay flavour: the per-gpid stream is the budget (an empty
-        // stream returns immediately and decrements the barrier count).
-        sim::spawn(replay_producer(mesh, cx, next_thread(),
-                                   cls_of[static_cast<std::size_t>(p)], p));
-        continue;
-      }
-      const std::uint64_t target =
-          per + (static_cast<std::uint64_t>(p) < rem ? 1 : 0);
-      if (target)
-        sim::spawn(producer(mesh, cx, next_thread(),
-                            cls_of[static_cast<std::size_t>(p)], p, target));
+      const int cls = cls_of[static_cast<std::size_t>(p)];
+      // Replay: the per-gpid stream is the budget.
+      wire::MessageSource src =
+          spec.replay
+              ? wire::MessageSource(*spec.replay, p, backend)
+              : wire::MessageSource(
+                    spec.tenants[static_cast<std::size_t>(cls)], backend,
+                    per + (static_cast<std::uint64_t>(p) < rem ? 1 : 0),
+                    wire::split_seed(seed, 0x5000 + p),
+                    wire::split_seed(seed, 0x6000 + p), /*rotate=*/false);
+      if (src.budget())
+        sim::spawn(producer(mesh, cx, next_thread(), cls, p, std::move(src)));
       else
         --cx.producers_remaining;
     }
-    sim::spawn(depth_sampler(mesh, cx));
   }
 
   // Barrier hook: once every producer mesh-wide has finished (their posts
@@ -778,6 +550,19 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   }
   for (auto& cx : shards) cx->m->eq().set_trace(nullptr);
 
+  // Every queue drained with a worker still waiting is a stranded consumer
+  // (lost pill, protocol deadlock): fail loudly rather than merge a
+  // partial run.
+  std::string stuck;
+  for (const auto& cx : shards)
+    for (std::size_t c = 0; c < cx->channels.size(); ++c)
+      if (!cx->chan_done[c])
+        stuck += " sh" + std::to_string(cx->id) + "c" + std::to_string(c);
+  if (!stuck.empty())
+    throw std::runtime_error("scenario '" + spec.name +
+                             "': queues drained with workers still waiting "
+                             "on shard channels" + stuck);
+
   ShardedResult r;
   r.engine.scenario = spec.name;
   r.engine.backend = squeue::to_string(backend);
@@ -793,7 +578,6 @@ ShardedResult run_sharded(const ScenarioSpec& raw, squeue::Backend backend,
   for (auto& cx : shards) {
     ScenarioMetrics sm;
     sm.tenants = std::move(cx->classes);
-    sm.depths = std::move(cx->depths);
     sm.ticks = cx->m->now();
     sm.ns = cx->m->ns(sm.ticks);
     r.engine.metrics.merge(sm);

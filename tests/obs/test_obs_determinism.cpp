@@ -16,6 +16,7 @@
 #include "obs/hooks.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
+#include "replay/trace.hpp"
 #include "squeue/factory.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/sharded_engine.hpp"
@@ -84,6 +85,33 @@ TEST(ObsDeterminism, ClassicEngineByteIdenticalWithObsOnAndOff) {
   }
   for (const auto& [tid, d] : depth)
     EXPECT_EQ(d, 0) << "unclosed span in lane " << tid;
+}
+
+TEST(ObsDeterminism, SupervisedRunByteIdenticalWithHooksOnAndOff) {
+  // The QoS supervisor keeps its own fixed clock and private timeline, so
+  // neither a trace recorder nor a caller timeline at another cadence can
+  // move its decisions: the supervised CSV equals the hook-less one.
+  const ScenarioSpec* spec = find_scenario("qos-adversarial-bulk");
+  ASSERT_NE(spec, nullptr);
+  ASSERT_TRUE(spec->supervisor);
+  for (Backend b : {Backend::kVl, Backend::kCaf}) {
+    const std::string plain = run_spec(*spec, b, 42).csv();
+
+    replay::TraceRecorder rec;
+    obs::RunHooks rec_hooks;
+    rec_hooks.recorder = &rec;
+    EXPECT_EQ(run_spec(*spec, b, 42, 1, &rec_hooks).csv(), plain)
+        << squeue::to_string(b) << " with a recorder";
+
+    obs::Timeline tl;
+    obs::RunHooks tl_hooks;
+    tl_hooks.timeline = &tl;
+    tl_hooks.sample_every = 10000;
+    EXPECT_EQ(run_spec(*spec, b, 42, 1, &tl_hooks).csv(), plain)
+        << squeue::to_string(b) << " with a 10000-tick timeline";
+    // The caller's timeline still carries the supervisor's decisions.
+    EXPECT_GT(tl.last("sup.decreases"), 0.0) << squeue::to_string(b);
+  }
 }
 
 TEST(ObsDeterminism, ShardedEngineDigestsIdenticalWithObsOnAndOff) {

@@ -1,7 +1,7 @@
 // Traffic-engine integration: every registry preset must run green over
 // every backend with exact message conservation; runs are deterministic
-// (byte-identical CSV) for a fixed seed; queue-depth sampling rides on
-// Channel::depth() for all five backends.
+// (byte-identical CSV) for a fixed seed; Channel::depth() — the source of
+// the timeline's chan.depth series — holds on all five backends.
 
 #include "traffic/engine.hpp"
 
@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/hooks.hpp"
+#include "obs/timeline.hpp"
 #include "squeue/factory.hpp"
 
 namespace vl::traffic {
@@ -50,9 +52,6 @@ TEST_P(TrafficOverBackend, EveryPresetRunsGreenAndConserves) {
             << name << "/" << t.tenant << " seed " << seed;
         EXPECT_GT(t.latency.max(), 0u) << name << "/" << t.tenant;
       }
-      // The depth sampler observed every channel at least once.
-      ASSERT_FALSE(m.depths.empty()) << name;
-      for (const auto& d : m.depths) EXPECT_GE(d.samples, 1u) << name;
     }
   }
 }
@@ -148,13 +147,28 @@ TEST(TrafficEngine, OverloadShedsAtTheConfiguredDepth) {
 
 TEST(TrafficEngine, ClosedLoopBoundsOutstandingLatency) {
   // With a window of 4 and one bottleneck consumer, queue depth can never
-  // exceed producers * window.
-  const EngineResult r = run_scenario("closed-loop-incast", Backend::kBlfq, 3);
+  // exceed producers * window — read from the timeline's chan.depth series
+  // at a fine cadence (a ring large enough to keep every epoch).
+  obs::Timeline tl(1 << 14);
+  obs::RunHooks hooks;
+  hooks.timeline = &tl;
+  hooks.sample_every = 100;
+  const EngineResult r =
+      run_scenario("closed-loop-incast", Backend::kBlfq, 3, 1, &hooks);
   const auto* spec = find_scenario("closed-loop-incast");
   const double bound =
       static_cast<double>(spec->producers) * spec->window;
-  ASSERT_FALSE(r.metrics.depths.empty());
-  EXPECT_LE(r.metrics.depths[0].depth.max(), bound);
+  const auto& names = tl.names();
+  const std::size_t col = static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), "chan.depth") - names.begin());
+  ASSERT_LT(col, names.size());
+  ASSERT_EQ(tl.dropped(), 0u);
+  ASSERT_GT(tl.size(), 10u);
+  double max_depth = 0.0;
+  for (std::size_t e = 0; e < tl.size(); ++e)
+    max_depth = std::max(max_depth, tl.at(e).values[col]);
+  EXPECT_GT(max_depth, 0.0);
+  EXPECT_LE(max_depth, bound);
   EXPECT_EQ(r.metrics.tenants[0].delivered,
             r.metrics.tenants[0].generated);
 }

@@ -158,10 +158,6 @@ TEST(ScenarioMetricsMerge, MatchesByNameAndAppendsStrangers) {
   b.tenants = {web2, bulk};
   b.ticks = 1500;
   b.ns = 750.0;
-  DepthSeries d;
-  d.channel = "sh1c0";
-  d.samples = 3;
-  b.depths = {d};
 
   a.merge(b);
   ASSERT_EQ(a.tenants.size(), 2u);
@@ -171,8 +167,6 @@ TEST(ScenarioMetricsMerge, MatchesByNameAndAppendsStrangers) {
   EXPECT_EQ(a.tenants[0].latency.count(), 20u);  // histogram merged
   EXPECT_EQ(a.tenants[0].latency.max(), 200u);
   EXPECT_EQ(a.tenants[1].tenant, "bulk");
-  ASSERT_EQ(a.depths.size(), 1u);
-  EXPECT_EQ(a.depths[0].channel, "sh1c0");
   EXPECT_EQ(a.ticks, 1500u);  // max, not sum: shards share the clock
   EXPECT_DOUBLE_EQ(a.ns, 750.0);
 }
