@@ -65,7 +65,7 @@ void print_usage() {
                "            enforced in hardware (ablation baseline)\n"
                "  --batch   override every tenant's injection batch\n"
                "            (TenantSpec::batch; 0 keeps preset values)\n"
-               "  --shards  run the sharded mesh engine with N shards\n"
+               "  --shards  run the scenario on a mesh of N shards\n"
                "            (needs a preset with a sharding block)\n"
                "  --sim-threads  step shards on N host threads; output is\n"
                "            byte-identical to sequential stepping\n"
@@ -74,7 +74,7 @@ void print_usage() {
                "            (.json for JSON, anything else long-form CSV);\n"
                "            single (scenario, backend) cell only\n"
                "  --sample-every N  timeline sampling period in sim ticks\n"
-               "            (classic engine; sharded runs sample at every\n"
+               "            (single node; sharded runs sample at every\n"
                "            lookahead barrier instead)\n"
                "  --trace FILE  write a Chrome-trace JSON of the run\n"
                "            (load in Perfetto / chrome://tracing);\n"
@@ -99,8 +99,8 @@ void print_usage() {
                "  --churn SPEC  lifecycle events (replay/lifecycle.hpp\n"
                "            grammar), e.g.\n"
                "            'leave@30000:tenant=bulk;join@45000:tenant=bulk'\n"
-               "            or 'reconfig@20000' (VL backends only); classic\n"
-               "            engine only. Exit 4 on a conservation violation\n"
+               "            or 'reconfig@20000' (VL backends only); single\n"
+               "            node only. Exit 4 on a conservation violation\n"
                "  --warm-restart  run the snapshot/rebuild/restore drill on\n"
                "            the selected device backend (vl|vlideal|caf)\n"
                "            and print its one-line report\n");
@@ -108,9 +108,9 @@ void print_usage() {
 
 /// Run one (scenario, backend) cell, honouring the --no-qos ablation and
 /// the --batch override (0 = keep the preset's per-tenant batches). With
-/// shards > 0 the cell runs on the sharded mesh engine instead (the
-/// merged EngineResult keeps the single-shard CSV/table shape), with
-/// --tenants overriding the preset's logical population.
+/// shards > 0 the cell runs on a shard mesh instead (the merged
+/// EngineResult keeps the single-node CSV/table shape), with --tenants
+/// overriding the preset's logical population.
 vl::traffic::EngineResult run_cell(const std::string& name, Backend b,
                                    std::uint64_t seed, int scale,
                                    bool no_qos, std::uint32_t batch,
@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
   }
 
   // Feature/backend gates: name the unsupported combination instead of
-  // silently ignoring the flag (the engines would run, minus the feature).
+  // silently ignoring the flag (the engine would run, minus the feature).
   for (Backend b : backends) {
     const bool software = b == Backend::kBlfq || b == Backend::kZmq;
     if (chan_faults && !software) {
@@ -394,7 +394,8 @@ int main(int argc, char** argv) {
   if (!churn.empty() && shards > 0) {
     std::fprintf(stderr,
                  "unsupported combination: --churn with --shards — "
-                 "lifecycle events run on the classic engine only\n");
+                 "lifecycle events need a single node (the lifecycle plane "
+                 "is run-wide state that threaded shards would race on)\n");
     return 2;
   }
 
@@ -468,8 +469,8 @@ int main(int argc, char** argv) {
     }
     if (replay_trace->sharded != (shards > 0)) {
       std::fprintf(stderr,
-                   "--replay: trace was recorded on the %s engine; %s\n",
-                   replay_trace->sharded ? "sharded" : "classic",
+                   "--replay: trace was recorded on %s; %s\n",
+                   replay_trace->sharded ? "a shard mesh" : "a single node",
                    replay_trace->sharded
                        ? "pass --shards N to replay it"
                        : "drop --shards to replay it");

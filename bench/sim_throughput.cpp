@@ -49,7 +49,7 @@ struct RunSpec {
   std::string scenario;
   Backend backend;
   std::uint32_t batch = 0;  ///< 0 keeps the preset's per-tenant batches.
-  int shards = 0;           ///< 0 = classic engine; >= 1 = sharded mesh.
+  int shards = 0;           ///< 0 = single node; >= 1 = shard mesh.
   bool timeline = false;    ///< Attach an obs::Timeline (overhead guard).
   bool sup = false;         ///< Run the closed-loop QoS supervisor.
 };

@@ -54,7 +54,7 @@ namespace vl::fault {
 
 class FaultPlane {
  public:
-  /// `shards`: how many shards the run has (1 for the classic engine).
+  /// `shards`: how many shards the run has (1 for a single node).
   /// Event shard/link indices are clamped modulo this, so one spec is
   /// meaningful at any scale.
   FaultPlane(const FaultSpec& spec, int shards);

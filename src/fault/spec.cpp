@@ -1,23 +1,58 @@
 #include "fault/spec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/clause.hpp"
 #include "common/rng.hpp"
 
 namespace vl::fault {
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkSpike: return "spike";
-    case FaultKind::kPartition: return "partition";
-    case FaultKind::kDeviceStall: return "stall";
-    case FaultKind::kChanLoss: return "loss";
-    case FaultKind::kChanDup: return "dup";
-    case FaultKind::kFlashCrowd: return "flash";
+namespace {
+
+/// Clause kind names, in FaultKind order.
+constexpr const char* kKinds[] = {"spike", "partition", "stall",
+                                  "loss",  "dup",       "flash"};
+
+constexpr std::uint64_t kMaxRandEvents = 4096;
+
+FaultEvent parse_event(const clause::Clause& c) {
+  FaultEvent e;
+  e.kind = static_cast<FaultKind>(c.kind);
+  if (!c.dur) c.fail("window must be START+DURATION");
+  e.start = c.at;
+  e.duration = *c.dur;
+  if (e.duration < 1) c.fail("duration must be >= 1");
+
+  for (const auto& [k, v] : c.params) {
+    if (k == "src") e.src = static_cast<int>(c.u64(v, clause::kMaxIndex));
+    else if (k == "dst") e.dst = static_cast<int>(c.u64(v, clause::kMaxIndex));
+    else if (k == "shard")
+      e.shard = static_cast<int>(c.u64(v, clause::kMaxIndex));
+    else if (k == "extra") e.extra = c.u64(v, clause::kMaxTick);
+    else if (k == "every")
+      e.every = static_cast<std::uint32_t>(
+          c.u64(v, std::numeric_limits<std::uint32_t>::max()));
+    else if (k == "class") e.cls = static_cast<int>(c.u64(v, kQosClasses - 1));
+    else if (k == "factor") e.factor = c.f64(v);
+    else c.fail("unknown parameter '" + k + "'");
   }
-  return "?";
+
+  if (e.kind == FaultKind::kLinkSpike && e.extra < 1)
+    c.fail("spike needs extra >= 1");
+  if ((e.kind == FaultKind::kChanLoss || e.kind == FaultKind::kChanDup) &&
+      e.every < 1)
+    c.fail("loss/dup need every >= 1");
+  if (e.kind == FaultKind::kFlashCrowd && e.factor <= 0.0)
+    c.fail("flash needs factor > 0");
+  return e;
+}
+
+}  // namespace
+
+const char* to_string(FaultKind k) {
+  return kKinds[static_cast<std::size_t>(k)];
 }
 
 bool FaultSpec::has(FaultKind k) const {
@@ -36,145 +71,45 @@ std::string FaultSpec::summary() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
-    if (i) os << ";";
-    os << to_string(e.kind) << "@" << e.start << "+" << e.duration;
-    std::vector<std::string> kv;
-    auto add = [&kv](const std::string& k, const std::string& v) {
-      kv.push_back(k + "=" + v);
+    const bool link =
+        e.kind == FaultKind::kLinkSpike || e.kind == FaultKind::kPartition;
+    os << (i ? ";" : "") << to_string(e.kind) << "@" << e.start << "+"
+       << e.duration;
+    char sep = ':';
+    auto add = [&os, &sep](const char* k, auto v) {
+      os << sep << k << "=" << v;
+      sep = ',';
     };
-    if (e.kind == FaultKind::kLinkSpike) add("extra", std::to_string(e.extra));
-    if ((e.kind == FaultKind::kLinkSpike || e.kind == FaultKind::kPartition)) {
-      if (e.src >= 0) add("src", std::to_string(e.src));
-      if (e.dst >= 0) add("dst", std::to_string(e.dst));
-    }
+    if (e.kind == FaultKind::kLinkSpike) add("extra", e.extra);
+    if (link && e.src >= 0) add("src", e.src);
+    if (link && e.dst >= 0) add("dst", e.dst);
     if (e.kind == FaultKind::kChanLoss || e.kind == FaultKind::kChanDup)
-      add("every", std::to_string(e.every));
-    if (e.kind == FaultKind::kFlashCrowd) {
-      std::ostringstream f;
-      f << e.factor;
-      add("factor", f.str());
-      if (e.cls >= 0) add("class", std::to_string(e.cls));
-    }
-    if (e.shard >= 0 && e.kind != FaultKind::kLinkSpike &&
-        e.kind != FaultKind::kPartition)
-      add("shard", std::to_string(e.shard));
-    for (std::size_t k = 0; k < kv.size(); ++k)
-      os << (k ? "," : ":") << kv[k];
+      add("every", e.every);
+    if (e.kind == FaultKind::kFlashCrowd) add("factor", e.factor);
+    if (e.kind == FaultKind::kFlashCrowd && e.cls >= 0) add("class", e.cls);
+    if (!link && e.shard >= 0) add("shard", e.shard);
   }
   return os.str();
 }
 
-namespace {
-
-[[noreturn]] void fail(const std::string& clause, const std::string& why) {
-  throw std::invalid_argument("bad fault clause '" + clause + "': " + why);
-}
-
-std::uint64_t parse_u64(const std::string& clause, const std::string& s) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    fail(clause, "expected a non-negative integer, got '" + s + "'");
-  return std::stoull(s);
-}
-
-double parse_f64(const std::string& clause, const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    fail(clause, "expected a number, got '" + s + "'");
-  }
-}
-
-FaultEvent parse_clause(const std::string& clause) {
-  const auto at = clause.find('@');
-  if (at == std::string::npos) fail(clause, "missing '@start+duration'");
-  const std::string kind_s = clause.substr(0, at);
-  const auto colon = clause.find(':', at);
-  const std::string when =
-      clause.substr(at + 1, (colon == std::string::npos ? clause.size()
-                                                        : colon) - at - 1);
-  const auto plus = when.find('+');
-  if (plus == std::string::npos) fail(clause, "window must be START+DURATION");
-
-  FaultEvent e;
-  if (kind_s == "spike") e.kind = FaultKind::kLinkSpike;
-  else if (kind_s == "partition") e.kind = FaultKind::kPartition;
-  else if (kind_s == "stall") e.kind = FaultKind::kDeviceStall;
-  else if (kind_s == "loss") e.kind = FaultKind::kChanLoss;
-  else if (kind_s == "dup") e.kind = FaultKind::kChanDup;
-  else if (kind_s == "flash") e.kind = FaultKind::kFlashCrowd;
-  else fail(clause, "unknown fault kind '" + kind_s + "'");
-
-  e.start = parse_u64(clause, when.substr(0, plus));
-  e.duration = parse_u64(clause, when.substr(plus + 1));
-  if (e.duration < 1) fail(clause, "duration must be >= 1");
-
-  if (colon != std::string::npos) {
-    std::string params = clause.substr(colon + 1);
-    std::istringstream ps(params);
-    std::string kv;
-    while (std::getline(ps, kv, ',')) {
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos) fail(clause, "parameter '" + kv +
-                                                    "' is not key=value");
-      const std::string k = kv.substr(0, eq), v = kv.substr(eq + 1);
-      if (k == "src") e.src = static_cast<int>(parse_u64(clause, v));
-      else if (k == "dst") e.dst = static_cast<int>(parse_u64(clause, v));
-      else if (k == "shard") e.shard = static_cast<int>(parse_u64(clause, v));
-      else if (k == "extra") e.extra = parse_u64(clause, v);
-      else if (k == "every")
-        e.every = static_cast<std::uint32_t>(parse_u64(clause, v));
-      else if (k == "class") e.cls = static_cast<int>(parse_u64(clause, v));
-      else if (k == "factor") e.factor = parse_f64(clause, v);
-      else fail(clause, "unknown parameter '" + k + "'");
-    }
-  }
-
-  switch (e.kind) {
-    case FaultKind::kLinkSpike:
-      if (e.extra < 1) fail(clause, "spike needs extra >= 1");
-      break;
-    case FaultKind::kChanLoss:
-    case FaultKind::kChanDup:
-      if (e.every < 1) fail(clause, "loss/dup need every >= 1");
-      break;
-    case FaultKind::kFlashCrowd:
-      if (e.factor <= 0.0) fail(clause, "flash needs factor > 0");
-      if (e.cls >= static_cast<int>(kQosClasses))
-        fail(clause, "class index out of range");
-      break;
-    default: break;
-  }
-  return e;
-}
-
-}  // namespace
-
 FaultSpec FaultSpec::parse(const std::string& text) {
   FaultSpec spec;
-  std::istringstream ss(text);
-  std::string clause;
-  while (std::getline(ss, clause, ';')) {
-    // Trim surrounding whitespace so shell-quoted lists read naturally.
-    const auto b = clause.find_first_not_of(" \t");
-    if (b == std::string::npos) continue;
-    clause = clause.substr(b, clause.find_last_not_of(" \t") - b + 1);
-    if (clause.rfind("rand:", 0) == 0) {
-      std::istringstream rs(clause.substr(5));
-      std::string part;
-      std::vector<std::uint64_t> args;
-      while (std::getline(rs, part, ','))
-        args.push_back(parse_u64(clause, part));
-      if (args.empty()) fail(clause, "rand needs a seed");
-      const int count = args.size() > 1 ? static_cast<int>(args[1]) : 8;
-      const Tick horizon = args.size() > 2 ? args[2] : 200000;
-      const FaultSpec r = random(args[0], count, horizon);
-      spec.events.insert(spec.events.end(), r.events.begin(), r.events.end());
+  for (const std::string& t : clause::clauses(text)) {
+    if (t.rfind("rand:", 0) != 0) {
+      spec.events.push_back(parse_event(clause::parse(t, "fault", kKinds)));
       continue;
     }
-    spec.events.push_back(parse_clause(clause));
+    const clause::Clause c{.text = t, .grammar = "fault"};
+    const std::vector<std::string> args = clause::tokenize(t.substr(5), ',');
+    if (args.size() > 3) c.fail("rand takes SEED[,COUNT[,HORIZON]]");
+    const std::uint64_t seed =
+        c.u64(args[0], std::numeric_limits<std::uint64_t>::max());
+    const auto count = static_cast<int>(
+        args.size() > 1 ? c.u64(args[1], kMaxRandEvents) : 8);
+    const Tick horizon =
+        args.size() > 2 ? c.u64(args[2], clause::kMaxTick) : 200000;
+    const FaultSpec r = random(seed, count, horizon);
+    spec.events.insert(spec.events.end(), r.events.begin(), r.events.end());
   }
   return spec;
 }

@@ -12,7 +12,7 @@
 // lift, so a chaos run's tail is a recovery measurement, not a hang. All
 // parameters are explicit ticks/counts — no wall clock, no host RNG — so
 // the same spec replays the same fault sequence byte-for-byte, including
-// under the sharded engine's threaded stepping.
+// under a shard mesh's threaded stepping.
 //
 // Text grammar (CLI `--faults`, semicolon-separated clauses):
 //
@@ -79,8 +79,8 @@ struct FaultSpec {
   /// One-line rendering in the parse grammar (round-trips through parse()).
   std::string summary() const;
 
-  /// Parse the grammar above. Throws std::invalid_argument with a
-  /// position-annotated message on malformed input.
+  /// Parse the grammar above (common/clause.hpp; a rand COUNT is <= 4096).
+  /// Throws std::invalid_argument naming a malformed or out-of-range clause.
   static FaultSpec parse(const std::string& text);
 
   /// Deterministic pseudo-random schedule: `count` events drawn from

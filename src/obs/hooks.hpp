@@ -1,7 +1,7 @@
 #pragma once
 // Observability hook bundle passed into the traffic engines. Every pointer
 // is optional; a default-constructed RunHooks (or nullptr) means "observe
-// nothing" and the engines behave byte-identically to a build without obs.
+// nothing" and the engine behaves byte-identically to a build without obs.
 
 #include "common/types.hpp"
 #include "obs/timeline.hpp"
@@ -14,8 +14,8 @@ class TraceRecorder;
 namespace vl::obs {
 
 struct RunHooks {
-  /// Sampled every `sample_every` ticks (classic engine) or at every
-  /// lookahead barrier (sharded engine), plus one final cumulative sample
+  /// Sampled every `sample_every` ticks (single node) or at every
+  /// lookahead barrier (shard mesh), plus one final cumulative sample
   /// at end of run. Series are registered by the engine.
   Timeline* timeline = nullptr;
   Tick sample_every = 10000;
@@ -24,7 +24,7 @@ struct RunHooks {
   /// each EventQueue; hooks in sim/squeue/vlrd test the queue's pointer.
   Tracer* tracer = nullptr;
 
-  /// Send-boundary trace tap (src/replay/): the engines call begin() with
+  /// Send-boundary trace tap (src/replay/): the engine calls begin() with
   /// the run's shape and on_send() per message copy. Recording schedules
   /// nothing — runs stay byte-identical with it on or off.
   replay::TraceRecorder* recorder = nullptr;

@@ -27,7 +27,7 @@
 // existing StatSet machinery. StatSet is thereby demoted to what it is good
 // at (a cold snapshot/diff/merge view over a std::map); the registry is the
 // layer hot paths and pollers talk to. Per-shard registries merge post-join
-// exactly like the sharded engine's other counters: snapshot each shard,
+// exactly like a sharded run's other counters: snapshot each shard,
 // StatSet::merge the snapshots.
 
 #include <atomic>

@@ -9,9 +9,9 @@
 //
 // The sampler never touches the event queue: it neither schedules events
 // nor consumes (tick, seq) numbers, so a sampled run replays the exact
-// event sequence of an unsampled one. The engines call sample() from
-// outside the data path — the classic engine from an external stepping
-// loop between events, the sharded engine from the lookahead barrier
+// event sequence of an unsampled one. The engine calls sample() from
+// outside the data path — a single node from an external stepping loop
+// between events, a shard mesh from the lookahead barrier
 // (which is already a global synchronization point).
 //
 // Export is long format — epoch,tick,series,value — one row per

@@ -3,8 +3,8 @@
 //
 // Event model: duration begin/end pairs (ph "B"/"E") and instants (ph "i"),
 // mapped onto the simulator as
-//     pid = shard id (0 for the classic single-machine engine; the sharded
-//           engine adds one synthetic pid past the last shard for barrier
+//     pid = shard id (0 for a single-node run; a sharded run adds one
+//           synthetic pid past the last shard for barrier
 //           epochs, named "barrier"),
 //     tid = actor lane: core_id * kTidStride + sim-thread id for SimThreads
 //           (unique per coroutine, so B/E spans nest correctly per lane),

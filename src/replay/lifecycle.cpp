@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/clause.hpp"
+
 namespace vl::replay {
 
+namespace {
+/// Clause kind names, in LifecycleEvent::Kind order.
+constexpr const char* kKinds[] = {"join", "leave", "reconfig"};
+}  // namespace
+
 const char* to_string(LifecycleEvent::Kind k) {
-  switch (k) {
-    case LifecycleEvent::Kind::kJoin: return "join";
-    case LifecycleEvent::Kind::kLeave: return "leave";
-    case LifecycleEvent::Kind::kReconfig: return "reconfig";
-  }
-  return "?";
+  return kKinds[static_cast<std::size_t>(k)];
 }
 
 bool LifecycleSpec::has_reconfig() const {
@@ -41,76 +43,25 @@ std::string LifecycleSpec::summary() const {
   return out;
 }
 
-namespace {
-
-[[noreturn]] void bad(const std::string& clause, const char* why) {
-  throw std::invalid_argument("lifecycle spec: " + std::string(why) +
-                              " in clause '" + clause + "'");
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t')) --e;
-  return s.substr(b, e - b);
-}
-
-LifecycleEvent parse_clause(const std::string& clause) {
-  const std::size_t at = clause.find('@');
-  if (at == std::string::npos) bad(clause, "missing '@TICK'");
-  const std::string kind = clause.substr(0, at);
-  LifecycleEvent e;
-  if (kind == "join") e.kind = LifecycleEvent::Kind::kJoin;
-  else if (kind == "leave") e.kind = LifecycleEvent::Kind::kLeave;
-  else if (kind == "reconfig") e.kind = LifecycleEvent::Kind::kReconfig;
-  else bad(clause, "unknown event kind");
-
-  std::size_t colon = clause.find(':', at);
-  const std::string tick_s = clause.substr(
-      at + 1, (colon == std::string::npos ? clause.size() : colon) - at - 1);
-  if (tick_s.empty() ||
-      tick_s.find_first_not_of("0123456789") != std::string::npos)
-    bad(clause, "bad tick");
-  e.at = std::strtoull(tick_s.c_str(), nullptr, 10);
-
-  // key=value pairs after ':', comma-separated.
-  std::size_t p = colon == std::string::npos ? clause.size() : colon + 1;
-  while (p < clause.size()) {
-    std::size_t comma = clause.find(',', p);
-    if (comma == std::string::npos) comma = clause.size();
-    const std::string kv = clause.substr(p, comma - p);
-    p = comma + 1;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) bad(clause, "expected key=value");
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "tenant" && e.kind != LifecycleEvent::Kind::kReconfig) {
-      if (val.empty()) bad(clause, "empty tenant name");
-      e.tenant = val;
-    } else if (key == "channel" &&
-               e.kind == LifecycleEvent::Kind::kReconfig) {
-      e.channel = static_cast<int>(std::strtol(val.c_str(), nullptr, 10));
-    } else {
-      bad(clause, "unknown key");
-    }
-  }
-  if (e.kind != LifecycleEvent::Kind::kReconfig && e.tenant.empty())
-    bad(clause, "join/leave need tenant=NAME");
-  return e;
-}
-
-}  // namespace
-
 LifecycleSpec LifecycleSpec::parse(const std::string& text) {
   LifecycleSpec spec;
-  std::size_t p = 0;
-  while (p <= text.size()) {
-    std::size_t semi = text.find(';', p);
-    if (semi == std::string::npos) semi = text.size();
-    const std::string clause = trim(text.substr(p, semi - p));
-    p = semi + 1;
-    if (clause.empty()) continue;
-    spec.events.push_back(parse_clause(clause));
+  for (const std::string& t : clause::clauses(text)) {
+    const clause::Clause c = clause::parse(t, "lifecycle", kKinds);
+    LifecycleEvent e;
+    e.kind = static_cast<LifecycleEvent::Kind>(c.kind);
+    if (c.dur) c.fail("lifecycle events take a tick, not a window");
+    e.at = c.at;
+    const bool reconfig = e.kind == LifecycleEvent::Kind::kReconfig;
+    for (const auto& [k, v] : c.params) {
+      if (k == "tenant" && !reconfig && !v.empty())
+        e.tenant = v;
+      else if (k == "channel" && reconfig)
+        e.channel = static_cast<int>(c.u64(v, clause::kMaxIndex));
+      else
+        c.fail("unknown or empty parameter '" + k + "'");
+    }
+    if (!reconfig && e.tenant.empty()) c.fail("join/leave need tenant=NAME");
+    spec.events.push_back(e);
   }
   return spec;
 }

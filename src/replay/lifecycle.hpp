@@ -59,8 +59,8 @@ struct LifecycleSpec {
   bool has_churn() const;  ///< Any join/leave events.
   /// One-line rendering in the parse grammar (round-trips through parse()).
   std::string summary() const;
-  /// Parse the grammar above. Throws std::invalid_argument on malformed
-  /// input.
+  /// Parse the grammar above (common/clause.hpp). Throws
+  /// std::invalid_argument naming a malformed or out-of-range clause.
   static LifecycleSpec parse(const std::string& text);
 };
 

@@ -7,9 +7,9 @@
 // destination) per message copy — in a form that can be saved, diffed,
 // and replayed through traffic::run / run_sharded on any backend.
 //
-//   * TraceRecorder taps the engines via obs::RunHooks::recorder. Each
-//     producer appends to its own stream (race-free under the sharded
-//     engine's threaded stepping); finish() merges the streams into one
+//   * TraceRecorder taps the engine via obs::RunHooks::recorder. Each
+//     producer appends to its own stream (race-free under a shard
+//     mesh's threaded stepping); finish() merges the streams into one
 //     deterministic (tick, producer, sequence) order, so two identical
 //     runs record byte-identical traces.
 //   * TraceArrival is an ArrivalProcess over one producer's recorded
@@ -48,8 +48,8 @@ struct TraceRecord {
   std::uint16_t pid = 0;     ///< Producer id (global pid when sharded).
   QosClass cls = QosClass::kStandard;
   std::uint8_t words = 1;    ///< Payload words (1..7).
-  std::uint64_t dst = 0;     ///< Channel index (classic engine) or logical
-                             ///< destination tenant id (sharded engine).
+  std::uint64_t dst = 0;     ///< Channel index (single node) or logical
+                             ///< destination tenant id (shard mesh).
 
   bool operator==(const TraceRecord&) const = default;
 };
@@ -83,7 +83,7 @@ struct Trace {
   static Trace load(const std::string& path);
 };
 
-/// Engine-side tap. Attach via obs::RunHooks::recorder; the engines call
+/// Engine-side tap. Attach via obs::RunHooks::recorder; the engine calls
 /// begin() once with the run's shape, then on_send() for every message
 /// copy that enters a channel. Per-pid streams are preallocated by
 /// begin(), so concurrent shards appending to different pids never race.
@@ -109,7 +109,7 @@ class TraceRecorder {
 };
 
 /// Replay cursor over one producer's recorded stream, shaped as an
-/// ArrivalProcess so the engines' pacing loop drives it like any other
+/// ArrivalProcess so the engine's pacing loop drives it like any other
 /// arrival. next_gap() does NOT advance the cursor — the engine reads
 /// class/width/destination from record() at the reconstructed tick, then
 /// calls advance().

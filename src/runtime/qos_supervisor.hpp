@@ -15,8 +15,8 @@
 //     re-carve are the same arithmetic — there is no second hand-carved
 //     table to drift out of sync.
 //
-//   * QosSupervisor — the closed loop. Invoked at epoch boundaries (the
-//     classic engine's sampling loop, the sharded engine's lookahead
+//   * QosSupervisor — the closed loop. Invoked at epoch boundaries (a
+//     single node's sampling loop, a shard mesh's lookahead
 //     barrier — both between event-queue steps, where knob mutation is
 //     safe by construction), it reads the epoch's obs::Timeline cut of the
 //     latency class (windowed SLO attainment, blocked-ticks trend) and
@@ -28,7 +28,7 @@
 //     epoch-boundary-safe knobs (Cluster::set_class_quota,
 //     CafDevice::set_class_credit).
 //
-// The supervisor reads *only* timeline series the engines already publish
+// The supervisor reads *only* timeline series the engine already publishes
 // ("class.latency.delivered" / "slo_within" / "blocked_ticks"), so its
 // decisions are a pure function of the sampled cut — deterministic across
 // runs and across sequential/threaded sharded stepping.

@@ -1,23 +1,32 @@
 #include "traffic/engine.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/csv.hpp"
 #include "fault/plane.hpp"
+#include "obs/timeline.hpp"
+#include "obs/tracer.hpp"
 #include "replay/lifecycle.hpp"
 #include "runtime/qos_supervisor.hpp"
+#include "sim/sharded.hpp"
 #include "sim/task.hpp"
+#include "traffic/shard_router.hpp"
+#include "traffic/sharded_engine.hpp"
 #include "traffic/wire.hpp"
 
 namespace vl::traffic {
 
 namespace {
 
+using squeue::Backend;
 using squeue::Channel;
 using squeue::Msg;
 using sim::Co;
@@ -25,18 +34,31 @@ using sim::SimThread;
 using wire::kPillTenant;
 using wire::kTickMask;
 
-/// QoS supervisor control cadence: a few epochs of reaction time stay well
-/// inside one bulk burst dwell.
+/// QoS supervisor control cadence on a single node: a few epochs of
+/// reaction time stay well inside one bulk burst dwell. A mesh runs its
+/// supervisor at every lookahead barrier instead.
 constexpr Tick kSupervisorPeriod = 2500;
+constexpr Tick kWindowBackoff = 32;  ///< Retry gap when a link is full.
+constexpr std::uint64_t kRebalancePeriod = 64;  ///< Barriers between checks.
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 struct StageChannel {
   std::unique_ptr<Channel> ch;
   int workers = 1;
   int workers_done = 0;  ///< Workers that reached their drain target.
   std::string label;
-  /// Payload messages fed into this channel (producer flushes + upstream
-  /// relays). Final by the time its termination pill is built, so the pill
-  /// can carry the exact drain target for the channel's sole worker.
+  /// Payload messages fed into this channel (producer flushes, upstream
+  /// relays, link ingress). Final by the time its termination pill is
+  /// built, so the pill can carry the exact drain target for the channel's
+  /// sole worker.
   std::uint64_t fed = 0;
 };
 
@@ -45,80 +67,268 @@ struct Stage {
   int workers_remaining = 0;
 };
 
-struct Ctx {
-  runtime::Machine& m;
-  const ScenarioSpec& spec;
-  squeue::Backend backend;
-
-  std::vector<Stage> stages;
-  std::vector<std::unique_ptr<Channel>> acks;  // per producer, closed loop
-  std::vector<TenantMetrics> tenants;
-
-  int producers_remaining = 0;
-  sim::AsyncOp<int> producers_done;
-
-  /// Fault plane (null on clean runs). `chan_faults` pre-gates the
-  /// per-message loss/dup hook: spec has loss/dup events AND the backend
-  /// is a software one (hardware backends model reliable interconnects).
-  fault::FaultPlane* fp = nullptr;
-  bool chan_faults = false;
-
-  /// Send-boundary trace tap (null unless the caller's RunHooks carry a
-  /// recorder). Recording is a pure observation — no events scheduled.
-  replay::TraceRecorder* rec = nullptr;
-  /// Lifecycle plane (null on static runs): tenant churn windows and
-  /// one-shot SQI reconfig events, consulted by producers and workers.
-  replay::LifecyclePlane* lp = nullptr;
+/// A message in flight on an inter-node link, bound for first-stage
+/// channel `ch` of the destination node.
+struct InMsg {
+  Msg msg;
+  int ch;
 };
 
-/// One producer thread, live or replaying — `src` decides where each
-/// message comes from. A replayed stream is post-shed and paces no acks, so
-/// shedding, fault loss/dup and gap scaling, produce_compute, churn waits
-/// and the closed-loop window are all switched off here, once.
-Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid,
+/// One modelled node: a machine, its stage channels, the metric rows of
+/// its deliveries and a digest of its event stream. Nodes share no state.
+struct Node {
+  Node(int id, runtime::Machine& m, squeue::ChannelFactory& f)
+      : id(id), m(m), f(f), ingress_wq(m.eq()) {}
+
+  int id;
+  runtime::Machine& m;
+  squeue::ChannelFactory& f;
+  Tick t0 = 0;           ///< Clock and event count when the run began.
+  std::uint64_t ev0 = 0;
+
+  std::vector<Stage> stages;
+  std::vector<std::unique_ptr<Channel>> acks;  ///< Per producer, closed loop.
+  /// One row per spec tenant, indexed by the stamp's tenant byte.
+  std::vector<TenantMetrics> tenants;
+  int producers_remaining = 0;
+
+  /// Link landing zone, drained by the termination actor.
+  std::deque<InMsg> ingress;
+  sim::WaitQueue ingress_wq;
+  bool stop = false;  ///< No more payload can reach this node.
+  /// The termination actor's thread until the last producer starts it.
+  std::optional<SimThread> idle_terminator;
+
+  std::uint64_t digest = kFnvBasis;  ///< (tick, stamp) delivery/ingress fold.
+  std::uint64_t cross_in = 0;        ///< Messages that arrived over links.
+};
+
+/// What a run shares across its nodes: the spec, the route, and the fault,
+/// lifecycle, trace and supervisor planes (each null when unused).
+struct Run {
+  Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
+      const obs::RunHooks* obs, ShardRouter* router);
+
+  const ScenarioSpec& spec;
+  Backend backend;
+  const obs::RunHooks* obs;
+  std::vector<std::unique_ptr<Node>> nodes;
+
+  /// The route: producers draw destinations in [0, range); see route().
+  std::uint64_t range = 0;
+  ShardRouter* router = nullptr;
+  sim::ShardedSim* ssim = nullptr;  ///< Carries posts between nodes.
+
+  std::unique_ptr<fault::FaultPlane> plane;
+  /// Loss/dup events on a software backend (hardware links are reliable).
+  bool chan_faults = false;
+  replay::TraceRecorder* rec = nullptr;  ///< Send-boundary trace tap.
+  std::unique_ptr<replay::LifecyclePlane> lp;
+  std::unique_ptr<runtime::QosSupervisor> sup;
+  /// The supervisor's private timeline: it reads only the latest cut, on
+  /// its own clock, so the caller's hooks cannot change what it decides.
+  obs::Timeline sup_tl{1};
+};
+
+Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
+         const obs::RunHooks* obs, ShardRouter* router)
+    : spec(spec), backend(backend), obs(obs), router(router) {
+  const std::string err = validate(spec);
+  if (!err.empty())
+    throw std::invalid_argument("invalid scenario '" + spec.name + "': " + err);
+  const bool mesh = router != nullptr;
+  if (const replay::Trace* t = spec.replay) {
+    if (t->sharded != mesh)
+      throw std::invalid_argument(
+          "replay: trace '" + t->scenario + "' was recorded " +
+          (t->sharded ? "on a shard mesh; replay it with run_sharded"
+                      : "on a single node; replay it without shards"));
+    if (t->producers != static_cast<std::uint32_t>(spec.producers) ||
+        t->tenants != spec.tenants.size())
+      throw std::invalid_argument(
+          "replay: trace shape (producers=" + std::to_string(t->producers) +
+          ", tenants=" + std::to_string(t->tenants) +
+          ") does not match scenario '" + spec.name + "' (producers=" +
+          std::to_string(spec.producers) +
+          ", tenants=" + std::to_string(spec.tenants.size()) + ")");
+  }
+  rec = obs ? obs->recorder : nullptr;
+  if (rec)
+    rec->begin(spec.name, squeue::to_string(backend), seed,
+               static_cast<std::uint32_t>(spec.producers),
+               static_cast<std::uint32_t>(spec.tenants.size()), mesh);
+  if (!spec.faults.empty()) {
+    plane = std::make_unique<fault::FaultPlane>(spec.faults,
+                                                mesh ? router->shards() : 1);
+    chan_faults = plane->mutates_channels() &&
+                  (backend == Backend::kBlfq || backend == Backend::kZmq);
+  }
+  if (spec.supervisor && spec.qos &&
+      (backend == Backend::kVl || backend == Backend::kCaf)) {
+    bool present[kQosClasses] = {};
+    for (const auto& t : spec.tenants)
+      present[static_cast<std::size_t>(t.qos)] = true;
+    sup = std::make_unique<runtime::QosSupervisor>(
+        runtime::QosSupervisor::Config{}, present);
+  }
+}
+
+/// Add a node on `m`/`f`, hosting `hosted` (the spec as this machine sees
+/// it): arm its faults, hand the supervisor its knobs, open its metric rows.
+Node& add_node(Run& run, runtime::Machine& m, squeue::ChannelFactory& f,
+               const ScenarioSpec& hosted) {
+  const int id = static_cast<int>(run.nodes.size());
+  Node& n = *run.nodes.emplace_back(std::make_unique<Node>(id, m, f));
+  if (run.plane) run.plane->arm_machine(m, id);
+  if (run.sup)
+    run.sup->attach(m.cfg(), channel_demand_for(hosted, run.backend, m.cfg()),
+                    run.backend == Backend::kVl ? &m.cluster() : nullptr,
+                    run.backend == Backend::kCaf ? &f.caf_device() : nullptr);
+  for (const auto& t : run.spec.tenants) {
+    TenantMetrics tm;
+    tm.tenant = t.name;
+    tm.qos = t.qos;
+    tm.slo_p99 = t.slo_p99;
+    n.tenants.push_back(std::move(tm));
+  }
+  n.t0 = m.now();
+  n.ev0 = m.eq().executed();
+  return n;
+}
+
+/// Channel frame width: the widest tenant or replayed payload. CAF stays at
+/// its single-word frame, which replayed widths clamp to (payload_words).
+std::uint8_t frame_words(const ScenarioSpec& spec, Backend b) {
+  std::uint8_t frame = 1;
+  for (const auto& t : spec.tenants)
+    frame = std::max(frame, wire::payload_words(b, t.msg_words));
+  if (spec.replay && b != Backend::kCaf)
+    for (const auto& r : spec.replay->records) frame = std::max(frame, r.words);
+  return frame;
+}
+
+void add_stage(Node& n, int nchan, int workers, const std::string& prefix,
+               std::size_t capacity, std::uint8_t frame) {
+  Stage st;
+  for (int c = 0; c < nchan; ++c) {
+    StageChannel sc;
+    sc.label = prefix + "c" + std::to_string(c);
+    sc.ch = n.f.make(sc.label, capacity, frame);
+    sc.workers = workers;
+    st.workers_remaining += workers;
+    st.channels.push_back(std::move(sc));
+  }
+  n.stages.push_back(std::move(st));
+}
+
+/// Where a destination is served: a node and one of its first-stage
+/// channels. Without a router a destination is node 0's channel index; on
+/// a mesh it is a logical tenant, which the ring maps to a node and the
+/// tenant hash to one of that node's channels.
+struct Dest {
+  Node* node;
+  int ch;
+};
+
+Dest route(Run& run, std::uint64_t dst) {
+  if (!run.router) return {run.nodes.front().get(), static_cast<int>(dst)};
+  Node* n = run.nodes[static_cast<std::size_t>(run.router->shard_for(dst))]
+                .get();
+  const auto nch = static_cast<std::uint64_t>(n->stages.front().channels.size());
+  return {n, static_cast<int>(ShardRouter::hash(dst) % nch)};
+}
+
+/// One pill per worker of each channel. A sole worker's pill carries the
+/// channel's exact payload count; a shared channel's workers stop at their
+/// first pill, since their payload split is not knowable up front.
+Co<void> send_pills(std::vector<StageChannel>& channels, SimThread t) {
+  for (auto& sc : channels)
+    for (int k = 0; k < sc.workers; ++k)
+      co_await sc.ch->send(t, wire::make_pill(sc.workers == 1 ? sc.fed : 0));
+}
+
+/// Per-node termination actor: injects link ingress into the first stage
+/// as it lands, one send_many per channel touched. Once `stop` is up and
+/// the ingress is dry, every payload bound here is fed: send the pills.
+Co<void> terminator(Node& n, SimThread t) {
+  auto& first = n.stages.front().channels;
+  std::vector<std::vector<Msg>> sub(first.size());
+  for (;;) {
+    const auto gate = n.ingress_wq.epoch();
+    if (n.ingress.empty()) {
+      if (n.stop) break;
+      co_await t.park(n.ingress_wq, gate);
+      continue;
+    }
+    while (!n.ingress.empty()) {
+      const InMsg& im = n.ingress.front();
+      sub[static_cast<std::size_t>(im.ch)].push_back(im.msg);
+      n.ingress.pop_front();
+    }
+    for (std::size_t c = 0; c < sub.size(); ++c) {
+      if (sub[c].empty()) continue;
+      co_await first[c].ch->send_many(t, sub[c]);
+      first[c].fed += sub[c].size();
+      sub[c].clear();
+    }
+  }
+  co_await send_pills(first, t);
+}
+
+/// Start a node's waiting termination actor, inline, once its producers
+/// are done. No actor waits on a mesh node: the barrier hook raises `stop`
+/// there, once every producer mesh-wide is done.
+void release(Node& n) {
+  if (n.producers_remaining > 0 || !n.idle_terminator) return;
+  n.stop = true;
+  sim::spawn(terminator(n, *std::exchange(n.idle_terminator, std::nullopt)));
+}
+
+/// One producer thread on node `home`, live or replaying — `src` decides
+/// where each message comes from. A replayed stream is post-shed and paces
+/// no acks, so shedding, fault loss/dup and gap scaling, produce_compute,
+/// churn waits and the closed-loop window are all switched off here, once.
+///
+/// Every message routes individually: a local one joins its channel's
+/// sub-batch, flushed at lap end in ascending channel order (one send_many
+/// per channel touched); a remote one posts onto the link at once.
+Co<void> producer(Run& run, Node& home, SimThread t, int tenant, int pid,
                   wire::MessageSource src) {
-  const TenantSpec& ts = cx.spec.tenants[static_cast<std::size_t>(tenant_id)];
+  const ScenarioSpec& spec = run.spec;
+  const TenantSpec& ts = spec.tenants[static_cast<std::size_t>(tenant)];
   const bool live = src.live();
   replay::LifecyclePlane* lp =
-      live && cx.lp && cx.lp->tenant_has_events(tenant_id) ? cx.lp : nullptr;
-  fault::FaultPlane* fp = live ? cx.fp : nullptr;
-  const bool chan_faults = live && cx.chan_faults;
+      live && run.lp && run.lp->tenant_has_events(tenant) ? run.lp.get()
+                                                          : nullptr;
+  fault::FaultPlane* fp = live ? run.plane.get() : nullptr;
+  const bool chan_faults = live && run.chan_faults;
   const std::uint64_t drop_depth = live ? ts.drop_depth : 0;
-  const Tick compute = live ? cx.spec.produce_compute : 0;
-  Channel* ack = live && cx.spec.closed_loop
-                     ? cx.acks[static_cast<std::size_t>(pid)].get()
+  const Tick compute = live ? spec.produce_compute : 0;
+  Channel* ack = live && spec.closed_loop
+                     ? home.acks[static_cast<std::size_t>(pid)].get()
                      : nullptr;
-  auto& eq = cx.m.eq();
-  auto& tm = cx.tenants[static_cast<std::size_t>(tenant_id)];
-  Stage& s0 = cx.stages.front();
-  const auto nch = static_cast<std::uint64_t>(s0.channels.size());
+  auto& eq = home.m.eq();
+  auto& tm = home.tenants[static_cast<std::size_t>(tenant)];
+  auto& first = home.stages.front().channels;
   const std::uint64_t target = src.budget();
   // Closed loops cap the effective batch at the window — a producer may
   // never hold more unacked messages than its in-flight budget.
   const std::uint64_t batch =
-      ack ? std::min<std::uint64_t>(ts.batch, cx.spec.window)
+      ack ? std::min<std::uint64_t>(ts.batch, spec.window)
           : std::max<std::uint32_t>(ts.batch, 1);
   int outstanding = 0;
-  // Per-channel sub-batches: every message routes individually (fan-out
-  // rotates per message, mesh redraws per message) and accumulates into
-  // its channel's sub-batch; at lap end the non-empty sub-batches flush in
-  // ascending channel order, one send_many per channel touched. This keeps
-  // batched injection (the per-lap accumulation trade) without pinning a
-  // whole burst to one consumer. With batch == 1 a lap is one message, so
-  // the rotation counter and mesh RNG draws replay the historic per-lap
-  // routing draw for draw and BENCH baselines are unaffected.
-  std::vector<std::vector<Msg>> sub(nch);
+  std::vector<std::vector<Msg>> sub(first.size());
 
   for (std::uint64_t i = 0; i < target;) {
     // Assemble up to `batch` messages: each paces on the source and is
     // stamped at its generation instant, so batching adds the
     // producer-side accumulation delay to the measured latency — exactly
-    // the trade batched injection makes.
+    // the trade batched injection makes. Shed messages fill no lap slot.
     std::uint64_t assembled = 0;
     while (assembled < batch && i < target) {
       if (lp) {
         Tick at;
-        while ((at = lp->next_active(tenant_id, eq.now())) != 0) {
+        while ((at = lp->next_active(tenant, eq.now())) != 0) {
           if (at == replay::LifecyclePlane::kNever) {
             // Departed for good: the rest of the budget is forfeited, not
             // dropped — never generated, so conservation stays exact and
@@ -132,58 +342,81 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid,
         if (i >= target) break;
       }
       Tick gap = src.next_gap(eq.now());
-      if (fp) gap = fp->scale_gap(0, ts.qos, eq.now(), gap);
+      if (fp) gap = fp->scale_gap(home.id, ts.qos, eq.now(), gap);
       if (gap) co_await sim::Delay(eq, gap);
       if (compute) co_await t.compute(compute);
 
       ++tm.generated;
-      // Routed before the shed checks: dropped messages advance the
-      // fan-out rotation and the mesh RNG too.
-      const wire::MessageSource::Draw d = src.take(nch);
-      Channel& ch = *s0.channels[d.dst].ch;
-      if (drop_depth && ch.depth() >= drop_depth) {
+      // Routed before the shed checks: shed and lost messages advance the
+      // route stream too.
+      const wire::MessageSource::Draw d = src.take(run.range);
+      const Dest to = route(run, d.dst);
+      // Shedding reads the depth of a local channel only; a remote
+      // destination's backlog belongs to its own node.
+      if (drop_depth && to.node == &home &&
+          first[static_cast<std::size_t>(to.ch)].ch->depth() >= drop_depth) {
         ++tm.dropped;
         ++i;
         continue;
       }
-      // Channel-level fault fate, decided before the message joins its
-      // sub-batch: a dropped/duplicated message never desyncs the `fed`
-      // pill counts, because only what actually lands in the batch is
-      // counted at flush time.
+      // Channel-level fault fate, decided before the message joins a
+      // sub-batch or a link: only what is actually sent is counted as fed,
+      // so a dropped/duplicated message never desyncs the pill counts.
       int copies = 1;
       if (chan_faults) {
-        copies = fp->chan_copies(0, eq.now());
+        copies = fp->chan_copies(home.id, eq.now());
         if (copies == 0) {
           ++tm.dropped;
           ++i;
           continue;
         }
       }
-      const Msg msg = wire::make_msg(d, tenant_id, pid, eq.now(), i);
-      for (int k = 0; k < copies; ++k) sub[d.dst].push_back(msg);
-      if (cx.rec)
+      const Msg msg = wire::make_msg(d, tenant, pid, eq.now(), i);
+      if (run.rec)
         for (int k = 0; k < copies; ++k)
-          cx.rec->on_send(static_cast<std::uint16_t>(pid),
-                          static_cast<std::uint16_t>(tenant_id), msg.qos,
-                          msg.n, d.dst, eq.now());
+          run.rec->on_send(static_cast<std::uint16_t>(pid),
+                           static_cast<std::uint16_t>(tenant), msg.qos, msg.n,
+                           d.dst, eq.now());
       ++i;
       ++assembled;
+      if (to.node == &home) {
+        for (int k = 0; k < copies; ++k)
+          sub[static_cast<std::size_t>(to.ch)].push_back(msg);
+        continue;
+      }
+      // Remote: respect the link's in-flight window, then hand the message
+      // to the destination's ingress at now + link latency.
+      for (int k = 0; k < copies; ++k) {
+        while (!run.ssim->can_post(home.id, to.node->id)) {
+          co_await sim::Delay(eq, kWindowBackoff);
+          tm.blocked_ticks += kWindowBackoff;
+        }
+        run.ssim->post(home.id, to.node->id, [to, msg] {
+          Node& dst = *to.node;
+          dst.digest = fnv1a(dst.digest, dst.m.now());
+          dst.digest = fnv1a(dst.digest, msg.w[0]);
+          ++dst.cross_in;
+          dst.ingress.push_back(InMsg{msg, to.ch});
+          dst.ingress_wq.wake_one();
+        });
+        ++tm.sent;
+      }
     }
     // Flush the lap: ascending channel order, closed-loop window re-checked
     // per sub-batch so outstanding never exceeds the in-flight budget.
-    for (std::uint64_t c = 0; c < nch; ++c) {
+    for (std::size_t c = 0; c < sub.size(); ++c) {
       auto& b = sub[c];
       if (b.empty()) continue;
       if (ack)
-        while (outstanding + static_cast<int>(b.size()) > cx.spec.window) {
+        while (outstanding + static_cast<int>(b.size()) > spec.window) {
           co_await ack->recv1(t);
           --outstanding;
         }
       const Tick send_start = eq.now();
-      co_await s0.channels[c].ch->send_many(t, b);  // one batched injection
+      co_await first[c].ch->send_many(t, b);  // one batched injection
       tm.blocked_ticks += eq.now() - send_start;  // time-in-backpressure
       tm.sent += b.size();
-      s0.channels[c].fed += b.size();
+      first[c].fed += b.size();
       if (ack) outstanding += static_cast<int>(b.size());
       b.clear();
     }
@@ -193,29 +426,29 @@ Co<void> producer(Ctx& cx, SimThread t, int tenant_id, int pid,
       co_await ack->recv1(t);
       --outstanding;
     }
-  if (--cx.producers_remaining == 0) cx.producers_done.complete(0);
+  --home.producers_remaining;
+  release(home);
 }
 
-Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
-  Stage& st = cx.stages[static_cast<std::size_t>(stage_idx)];
-  StageChannel& sc = st.channels[static_cast<std::size_t>(chan_idx)];
+/// One worker of channel `chan_idx` in stage `stage_idx` of node `n`.
+Co<void> worker(Run& run, Node& n, SimThread t, std::size_t stage_idx,
+                std::size_t chan_idx) {
+  Stage& st = n.stages[stage_idx];
+  StageChannel& sc = st.channels[chan_idx];
   Channel& ch = *sc.ch;
-  const bool final_stage =
-      stage_idx + 1 == static_cast<int>(cx.stages.size());
-  auto& eq = cx.m.eq();
+  const bool final_stage = stage_idx + 1 == n.stages.size();
+  auto& eq = n.m.eq();
   // Flattened channel ordinal (the reconfig@:channel= numbering: stage by
   // stage, channel by channel).
-  int flat = chan_idx;
-  for (int s = 0; s < stage_idx; ++s)
-    flat += static_cast<int>(cx.stages[static_cast<std::size_t>(s)]
-                                 .channels.size());
+  int flat = static_cast<int>(chan_idx);
+  for (std::size_t s = 0; s < stage_idx; ++s)
+    flat += static_cast<int>(n.stages[s].channels.size());
 
   // A channel's sole worker drains opportunistically in batches and
   // terminates on the exact payload count its pill carries — arrival order
   // is not trusted, because VL's injection-retry recovery can surface the
   // pill ahead of a straggling payload line. Shared channels stay on
-  // one-message receives and first-pill semantics: the coordinator sends
-  // one pill per worker, and their payload split is not knowable up front.
+  // one-message receives and first-pill semantics.
   const std::size_t window = sc.workers == 1 ? std::size_t{8} : 1;
   std::vector<Msg> drained(window);
   std::vector<Msg> relay;
@@ -226,8 +459,8 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
     // SQI re-registration (reconfig@): between receive laps the consumer
     // drops its armed demand and re-registers — § III-B migration onto the
     // same thread. Landed frames stay readable, so no message is lost.
-    if (cx.lp && cx.lp->take_reconfig(flat, eq.now()) && ch.reconfigure(t))
-      cx.lp->note_reconfig_applied();
+    if (run.lp && run.lp->take_reconfig(flat, eq.now()) && ch.reconfigure(t))
+      run.lp->note_reconfig_applied();
     const std::size_t got =
         co_await ch.recv_many(t, std::span<Msg>(drained.data(), window), 1);
     relay.clear();
@@ -242,14 +475,17 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
         expected = received;  // shared channel: this pill is ours, stop
         break;
       }
-      if (cx.spec.consume_compute) co_await t.compute(cx.spec.consume_compute);
+      if (run.spec.consume_compute)
+        co_await t.compute(run.spec.consume_compute);
       if (final_stage) {
-        auto& tm = cx.tenants[static_cast<std::size_t>(tenant)];
+        auto& tm = n.tenants[static_cast<std::size_t>(tenant)];
         ++tm.delivered;
         tm.latency.record((eq.now() - msg.w[0]) & kTickMask);
-        if (cx.spec.closed_loop) {
+        n.digest = fnv1a(n.digest, eq.now());
+        n.digest = fnv1a(n.digest, msg.w[0]);
+        if (run.spec.closed_loop) {
           const auto pid = static_cast<std::size_t>((msg.w[0] >> 48) & 0xff);
-          co_await cx.acks[pid]->send1(t, 1);
+          co_await n.acks[pid]->send1(t, 1);
         }
       } else {
         // Pipeline relay: preserve the stamp so latency stays end-to-end.
@@ -258,10 +494,9 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
       ++received;
     }
     if (!relay.empty()) {
-      Stage& next = cx.stages[static_cast<std::size_t>(stage_idx) + 1];
-      co_await next.channels.front()
-          .ch->send_many(t, relay);  // relay the drained run as one batch
-      next.channels.front().fed += relay.size();
+      StageChannel& next = n.stages[stage_idx + 1].channels.front();
+      co_await next.ch->send_many(t, relay);  // relay the run as one batch
+      next.fed += relay.size();
     }
   }
 
@@ -269,39 +504,218 @@ Co<void> worker(Ctx& cx, SimThread t, int stage_idx, int chan_idx) {
   if (--st.workers_remaining == 0 && !final_stage) {
     // Last worker of this stage: all payload is already enqueued
     // downstream, so pills sent now arrive after it.
-    Stage& next = cx.stages[static_cast<std::size_t>(stage_idx) + 1];
-    for (auto& nc : next.channels)
-      for (int k = 0; k < nc.workers; ++k)
-        co_await nc.ch->send(t, wire::make_pill(nc.workers == 1 ? nc.fed : 0));
+    co_await send_pills(n.stages[stage_idx + 1].channels, t);
   }
 }
 
-Co<void> coordinator(Ctx& cx, SimThread t) {
-  co_await cx.producers_done;
-  for (auto& sc : cx.stages.front().channels)
-    for (int k = 0; k < sc.workers; ++k)
-      co_await sc.ch->send(t, wire::make_pill(sc.workers == 1 ? sc.fed : 0));
+/// The spec tenant of each global producer id: tenant_producer_split,
+/// dealt tenant by tenant.
+std::vector<int> producer_tenants(const ScenarioSpec& spec) {
+  std::vector<int> out;
+  const std::vector<int> split = tenant_producer_split(spec);
+  for (std::size_t ti = 0; ti < split.size(); ++ti)
+    out.insert(out.end(), static_cast<std::size_t>(split[ti]),
+               static_cast<int>(ti));
+  return out;
 }
 
-/// Visits every tenant's metrics (the class-series fold source).
-TenantVisitor tenants_of(Ctx& cx) {
-  return [&cx](const std::function<void(const TenantMetrics&)>& fn) {
-    for (const auto& t : cx.tenants) fn(t);
+/// Round-robin thread placement over one machine's cores, in spawn order.
+struct Placer {
+  runtime::Machine& m;
+  CoreId core = 0;
+  SimThread next() {
+    const CoreId c = core;
+    core = (core + 1) % m.num_cores();
+    return m.thread_on(c);
+  }
+};
+
+void spawn_workers(Run& run, Node& n, Placer& place) {
+  for (std::size_t s = 0; s < n.stages.size(); ++s)
+    for (std::size_t c = 0; c < n.stages[s].channels.size(); ++c)
+      for (int w = 0; w < n.stages[s].channels[c].workers; ++w)
+        sim::spawn(worker(run, n, place.next(), s, c));
+}
+
+/// Register the per-class cumulative series "class.<cls>.delivered",
+/// ".sent", ".blocked_ticks", ".p99", ".slo_within" and ".slo_att_pct" for
+/// every class among the run's tenant rows. They aggregate the class's
+/// rows over every node exactly the way ScenarioMetrics::by_class() does,
+/// so a final epoch equals the end-of-run report.
+void register_class_series(obs::Timeline& tl, Run& run) {
+  using View = double (*)(const TenantMetrics&);
+  // `view` summed over class `cls`'s rows on every node.
+  auto fold = [&run](QosClass cls, View view) {
+    double acc = 0.0;
+    for (const auto& n : run.nodes)
+      for (const auto& t : n->tenants)
+        if (t.qos == cls) acc += view(t);
+    return acc;
   };
+  // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct. The
+  // QoS supervisor differences consecutive epochs of this and of
+  // `delivered` to get a *windowed* attainment.
+  const View within = [](const TenantMetrics& t) {
+    return static_cast<double>(t.slo_within());
+  };
+  bool present[kQosClasses] = {};
+  for (const auto& t : run.spec.tenants)
+    present[static_cast<std::size_t>(t.qos)] = true;
+  for (std::size_t c = 0; c < kQosClasses; ++c) {
+    if (!present[c]) continue;
+    const auto cls = static_cast<QosClass>(c);
+    const std::string base = std::string("class.") + to_string(cls) + ".";
+    const std::pair<const char*, View> sums[] = {
+        {"delivered", [](const TenantMetrics& t) { return 1.0 * t.delivered; }},
+        {"sent", [](const TenantMetrics& t) { return 1.0 * t.sent; }},
+        {"blocked_ticks",
+         [](const TenantMetrics& t) { return 1.0 * t.blocked_ticks; }}};
+    for (const auto& [name, view] : sums)
+      tl.add_series(base + name, [fold, cls, view] { return fold(cls, view); });
+    tl.add_series(base + "p99", [&run, cls] {
+      LogHistogram h;
+      for (const auto& n : run.nodes)
+        for (const auto& t : n->tenants)
+          if (t.qos == cls) h.merge(t.latency);
+      return static_cast<double>(h.percentile(99));
+    });
+    tl.add_series(base + "slo_within",
+                  [fold, cls, within] { return fold(cls, within); });
+    tl.add_series(base + "slo_att_pct", [fold, cls, within] {
+      // ClassAgg::slo_attained_pct over the class's SLO-carrying tenants.
+      const double delivered = fold(cls, [](const TenantMetrics& t) {
+        return t.slo_p99 ? static_cast<double>(t.delivered) : 0.0;
+      });
+      if (!delivered) return 100.0;
+      return 100.0 * fold(cls, within) / delivered;
+    });
+  }
 }
 
-/// Register the run's timeline series: the kernel/device counters plus the
-/// per-class cumulative traffic counters. Closures read cx/machine state in
-/// place — call Timeline::detach() before cx's metrics are moved out.
-void register_series(obs::Timeline& tl, Ctx& cx, runtime::Machine& m,
-                     squeue::ChannelFactory& f) {
-  wire::register_device_series(tl, f.backend(), [&](const auto& fn) {
+/// Register the run's timeline series: device and kernel counters summed
+/// over every node (chan.depth is the run's one queue-depth signal), a
+/// mesh's link signals, the per-class traffic counters, then the fault and
+/// supervisor series. Closures read run state in place: collect() detaches
+/// the timeline before the metrics move out.
+void register_series(obs::Timeline& tl, Run& run) {
+  auto add = [&tl, &run](std::string name,
+                         std::function<std::uint64_t(Node&)> view) {
+    tl.add_series(std::move(name), [&run, view] {
+      std::uint64_t v = 0;
+      for (const auto& n : run.nodes) v += view(*n);
+      return static_cast<double>(v);
+    });
+  };
+  add("eq.executed", [](Node& n) { return n.m.eq().executed(); });
+  add("chan.depth", [](Node& n) {
     std::uint64_t depth = 0;
-    for (auto& st : cx.stages)
-      for (auto& sc : st.channels) depth += sc.ch->depth();
-    fn(m, f, depth);
+    for (const auto& st : n.stages)
+      for (const auto& sc : st.channels) depth += sc.ch->depth();
+    return depth;
   });
-  register_class_series(tl, tenants_of(cx));
+  add("vlrd.push_quota_nacks",
+      [](Node& n) { return n.m.vlrd_stats().push_quota_nacks; });
+  add("vlrd.fetch_nacks", [](Node& n) { return n.m.vlrd_stats().fetch_nacks; });
+  if (run.backend == Backend::kCaf)
+    for (std::size_t c = 0; c < kQosClasses; ++c) {
+      const auto cls = static_cast<QosClass>(c);
+      add(std::string("caf.occupancy.") + to_string(cls), [cls](Node& n) {
+        return n.f.caf_device().class_occupancy(cls);
+      });
+    }
+  if (sim::ShardedSim* ssim = run.ssim) {
+    add("cross_shard.ingress", [](Node& n) { return n.cross_in; });
+    for (int sh = 0; sh < ssim->shards(); ++sh) {
+      const std::string p = "shard" + std::to_string(sh);
+      tl.add_series(p + ".window_stalls", [ssim, sh] {
+        return static_cast<double>(ssim->shard_window_stalls(sh));
+      });
+      tl.add_series(p + ".partition_stalls", [ssim, sh] {
+        return static_cast<double>(ssim->shard_partition_stalls(sh));
+      });
+    }
+  }
+  register_class_series(tl, run);
+  if (run.plane) run.plane->register_series(tl);
+  if (run.sup) run.sup->register_series(tl);
+}
+
+/// Hook the timelines and the caller's tracer (one pid per node, plus a
+/// mesh's barrier lane) onto the run. Observation schedules nothing.
+/// Returns the caller's timeline, or null.
+obs::Timeline* observe(Run& run) {
+  if (run.sup) register_class_series(run.sup_tl, run);
+  obs::Timeline* tl = run.obs ? run.obs->timeline : nullptr;
+  if (tl) register_series(*tl, run);
+  if (run.obs && run.obs->tracer) {
+    obs::Tracer& tr = *run.obs->tracer;
+    for (const auto& n : run.nodes) {
+      const auto pid = static_cast<std::uint32_t>(n->id);
+      n->m.eq().set_trace(&tr.buffer(pid));
+      tr.set_process_name(pid, run.ssim ? "shard" + std::to_string(n->id)
+                                        : std::string("machine"));
+    }
+    if (run.ssim) {
+      const auto pid = static_cast<std::uint32_t>(run.nodes.size());
+      run.ssim->set_trace(&tr.buffer(pid));
+      tr.set_process_name(pid, "barrier");
+    }
+  }
+  return tl;
+}
+
+/// Supervisor control epoch: cut its private timeline, let it re-carve.
+void supervise(Run& run, Tick at) {
+  run.sup_tl.sample(at);
+  run.sup->on_epoch(run.sup_tl);
+}
+
+/// Finish observing a drained run and fold its nodes into one result.
+/// Throws std::runtime_error when a worker is still waiting: a drained
+/// queue with a stranded consumer (lost pill, protocol deadlock) fails
+/// loudly rather than reporting a partial run.
+EngineResult collect(Run& run, std::uint64_t seed, int scale) {
+  if (obs::Timeline* tl = run.obs ? run.obs->timeline : nullptr) {
+    // Final cumulative sample (its class series equal the end-of-run
+    // ScenarioMetrics), then detach before the metrics move out.
+    Tick end = 0;
+    for (const auto& n : run.nodes) end = std::max(end, n->m.now());
+    tl->sample(end);
+    tl->detach();
+  }
+  for (const auto& n : run.nodes) n->m.eq().set_trace(nullptr);
+
+  std::string stuck;
+  for (const auto& n : run.nodes)
+    for (const Stage& st : n->stages)
+      for (const StageChannel& sc : st.channels)
+        if (sc.workers_done < sc.workers) stuck += " " + sc.label;
+  if (!stuck.empty())
+    throw std::runtime_error("scenario '" + run.spec.name +
+                             "': queue drained with workers still waiting "
+                             "on channels" + stuck);
+
+  EngineResult r;
+  r.scenario = run.spec.name;
+  r.backend = squeue::to_string(run.backend);
+  r.seed = seed;
+  r.scale = scale;
+  for (std::size_t i = 0; i < run.nodes.size(); ++i) {
+    Node& n = *run.nodes[i];
+    r.events += n.m.eq().executed() - n.ev0;
+    ScenarioMetrics sm;
+    sm.tenants = std::move(n.tenants);
+    sm.ticks = n.m.now() - n.t0;
+    sm.ns = n.m.ns(sm.ticks);
+    // The first node's rows are taken as they are (merge() would fold
+    // same-named tenants); later nodes merge in by name.
+    if (i == 0)
+      r.metrics = std::move(sm);
+    else
+      r.metrics.merge(sm);
+    r.device_stats.merge(n.m.statset());
+  }
+  return r;
 }
 
 /// One epoch clock of run_sampled: `at(boundary)` runs at every multiple
@@ -313,13 +727,10 @@ struct EpochClock {
 };
 
 /// Drive the queue to completion, running each clock at its epoch
-/// boundaries. Replays the exact event sequence m.run() would: events step
-/// one at a time, and a boundary is handled *between* events, once every
-/// event <= it has fired and the next lies beyond it. now() first advances
-/// to the boundary (run_until fires nothing there), so knob writes made at
-/// the boundary wake their waiters on the boundary tick itself; now() never
-/// passes the last event, so the run's measured ticks do not depend on the
-/// clocks. Clocks due on the same tick run in list order.
+/// boundaries between events (clocks due on one tick run in list order).
+/// It replays the exact event sequence eq.run() would; now() reaches each
+/// boundary before the clock runs, so knob writes wake their waiters on
+/// that tick, and never passes the last event (src/sim/README.md).
 void run_sampled(sim::EventQueue& eq, std::vector<EpochClock> clocks) {
   if (clocks.empty()) {
     eq.run();
@@ -346,218 +757,273 @@ void run_sampled(sim::EventQueue& eq, std::vector<EpochClock> clocks) {
 
 EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
                          int scale, const obs::RunHooks* obs) {
-  const std::string err = validate(raw);
-  if (!err.empty())
-    throw std::invalid_argument("invalid scenario '" + raw.name + "': " + err);
   const ScenarioSpec spec = scaled(raw, scale);
+  const Backend backend = f_.backend();
 
-  Ctx cx{m_, spec, f_.backend(), {}, {}, {}, 0, {}};
+  Run run(spec, backend, seed, obs, nullptr);
+  Node& n = add_node(run, m_, f_, spec);
 
-  // Fault plane: armed before any actor is spawned, so its stall events
-  // hold fixed positions in the deterministic (tick, seq) stream.
-  std::unique_ptr<fault::FaultPlane> plane;
-  if (!spec.faults.empty()) {
-    plane = std::make_unique<fault::FaultPlane>(spec.faults, 1);
-    plane->arm_machine(m_, 0);
-    cx.fp = plane.get();
-    cx.chan_faults = plane->mutates_channels() &&
-                     (f_.backend() == squeue::Backend::kBlfq ||
-                      f_.backend() == squeue::Backend::kZmq);
-  }
-
-  // --- replay / record / lifecycle hookup -----------------------------------
-  // All wired before any actor spawns: the spawn site picks each
-  // producer's message source, and the recorder must be live before the
-  // first send.
-  cx.rec = wire::begin_trace_io(spec, f_.backend(), seed, obs,
-                                /*sharded=*/false);
-  std::unique_ptr<replay::LifecyclePlane> lplane;
+  // Lifecycle plane, wired before any actor spawns.
   if (!spec.lifecycle.empty()) {
-    if (spec.lifecycle.has_reconfig() &&
-        f_.backend() != squeue::Backend::kVl &&
-        f_.backend() != squeue::Backend::kVlIdeal)
+    if (spec.lifecycle.has_reconfig() && backend != Backend::kVl &&
+        backend != Backend::kVlIdeal)
       throw std::invalid_argument(
           "lifecycle: reconfig@ is SQI re-registration — only the VL "
           "backends have a registration to drop; backend '" +
-          std::string(squeue::to_string(f_.backend())) + "' does not");
+          std::string(squeue::to_string(backend)) + "' does not");
     std::vector<std::string> names;
     for (const auto& t : spec.tenants) names.push_back(t.name);
-    lplane = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
-    cx.lp = lplane.get();
+    run.lp = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
     // Quota re-carve at every churn boundary: recompute the per-class
     // carve over the classes still active, so hardware budgets track the
     // live tenant mix (runtime::size_quotas — the same arithmetic as the
     // static carve and the QoS supervisor, so nothing drifts).
-    if (spec.qos && (f_.backend() == squeue::Backend::kVl ||
-                     f_.backend() == squeue::Backend::kCaf)) {
-      for (const Tick at : cx.lp->churn_boundaries()) {
-        m_.eq().schedule_at(at, [this, &cx, &spec, at] {
+    if (spec.qos && (backend == Backend::kVl || backend == Backend::kCaf)) {
+      replay::LifecyclePlane* lp = run.lp.get();
+      for (const Tick at : lp->churn_boundaries()) {
+        m_.eq().schedule_at(at, [this, lp, &spec, backend, at] {
           bool present[kQosClasses] = {};
-          bool any = false;
-          for (std::size_t ti = 0; ti < spec.tenants.size(); ++ti) {
-            if (!cx.lp->tenant_active_at(static_cast<int>(ti), at)) continue;
-            present[static_cast<std::size_t>(spec.tenants[ti].qos)] = true;
-            any = true;
-          }
-          if (!any) return;  // everyone gone — leave the carve alone
+          for (std::size_t ti = 0; ti < spec.tenants.size(); ++ti)
+            if (lp->tenant_active_at(static_cast<int>(ti), at))
+              present[static_cast<std::size_t>(spec.tenants[ti].qos)] = true;
+          if (std::count(present, present + kQosClasses, true) == 0)
+            return;  // everyone gone — leave the carve alone
           runtime::ChannelDemand d =
-              channel_demand_for(spec, f_.backend(), m_.cfg());
+              channel_demand_for(spec, backend, m_.cfg());
           runtime::base_weights(d, present);
           const runtime::QuotaPlan plan = runtime::size_quotas(m_.cfg(), d);
           for (std::size_t c = 0; c < kQosClasses; ++c) {
-            if (f_.backend() == squeue::Backend::kVl)
+            if (backend == Backend::kVl)
               m_.cluster().set_class_quota(static_cast<QosClass>(c),
                                            plan.vl_class_quota[c]);
             else
               f_.caf_device().set_class_credit(static_cast<QosClass>(c),
                                                plan.caf_class_credits[c]);
           }
-          cx.lp->note_recarve();
+          lp->note_recarve();
         });
       }
     }
   }
 
-  // --- wire the topology ----------------------------------------------------
-  std::uint8_t frame = 1;
-  for (const auto& t : spec.tenants)
-    frame = std::max(frame, wire::payload_words(cx.backend, t.msg_words));
-  // A foreign trace may carry wider payloads than the spec. CAF stays at
-  // its single-word frame: replayed record widths clamp to 1 there (see
-  // wire::payload_words), so widening the channel would desynchronize the
-  // fixed frame length from the messages actually sent.
-  if (spec.replay && cx.backend != squeue::Backend::kCaf)
-    for (const auto& r : spec.replay->records) frame = std::max(frame, r.words);
-
+  const std::uint8_t frame = frame_words(spec, backend);
+  const int nchan =
+      (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
+          ? spec.consumers
+          : 1;
   const int nstages = spec.topology == Topology::kPipeline ? spec.stages : 1;
-  for (int s = 0; s < nstages; ++s) {
-    Stage st;
-    const int nchan =
-        (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
-            ? spec.consumers
-            : 1;
-    const int workers_per_chan = nchan == 1 ? spec.consumers : 1;
-    for (int c = 0; c < nchan; ++c) {
-      StageChannel sc;
-      sc.label = "s" + std::to_string(s) + "c" + std::to_string(c);
-      sc.ch = f_.make(sc.label, spec.capacity_hint, frame);
-      sc.workers = workers_per_chan;
-      st.workers_remaining += workers_per_chan;
-      st.channels.push_back(std::move(sc));
-    }
-    cx.stages.push_back(std::move(st));
-  }
-
+  for (int s = 0; s < nstages; ++s)
+    add_stage(n, nchan, nchan == 1 ? spec.consumers : 1,
+              "s" + std::to_string(s), spec.capacity_hint, frame);
+  run.range = static_cast<std::uint64_t>(nchan);
   if (spec.closed_loop)
     for (int p = 0; p < spec.producers; ++p)
-      cx.acks.push_back(f_.make("ack" + std::to_string(p), 0, 1));
+      n.acks.push_back(f_.make("ack" + std::to_string(p), 0, 1));
 
-  for (const auto& t : spec.tenants) {
-    TenantMetrics tm;
-    tm.tenant = t.name;
-    tm.qos = t.qos;
-    tm.slo_p99 = t.slo_p99;
-    cx.tenants.push_back(std::move(tm));
+  // Producers, workers, then the termination actor's thread, which the last
+  // producer starts.
+  const std::vector<int> tenant_of = producer_tenants(spec);
+  n.producers_remaining = static_cast<int>(tenant_of.size());
+  Placer place{m_};
+  for (int pid = 0; pid < static_cast<int>(tenant_of.size()); ++pid) {
+    const int ti = tenant_of[static_cast<std::size_t>(pid)];
+    const TenantSpec& ts = spec.tenants[static_cast<std::size_t>(ti)];
+    wire::MessageSource src =
+        spec.replay ? wire::MessageSource(*spec.replay, pid, backend)
+                    : wire::MessageSource(
+                          ts, backend, ts.messages_per_producer,
+                          wire::split_seed(seed, pid),
+                          wire::split_seed(seed, 0x4000 + pid),
+                          spec.topology == Topology::kFanOut);
+    sim::spawn(producer(run, n, place.next(), ti, pid, std::move(src)));
   }
+  spawn_workers(run, n, place);
+  n.idle_terminator = place.next();
+  release(n);
 
-  // --- spawn the actors -----------------------------------------------------
-  const std::vector<int> split = tenant_producer_split(spec);
-  cx.producers_remaining = 0;
-  for (int n : split) cx.producers_remaining += n;
-
-  CoreId core = 0;
-  auto next_thread = [&] {
-    const CoreId c = core;
-    core = (core + 1) % m_.num_cores();
-    return m_.thread_on(c);
-  };
-
-  int pid = 0;
-  for (std::size_t ti = 0; ti < split.size(); ++ti)
-    for (int k = 0; k < split[ti]; ++k, ++pid) {
-      const TenantSpec& ts = spec.tenants[ti];
-      wire::MessageSource src =
-          spec.replay ? wire::MessageSource(*spec.replay, pid, cx.backend)
-                      : wire::MessageSource(
-                            ts, cx.backend, ts.messages_per_producer,
-                            wire::split_seed(seed, pid),
-                            wire::split_seed(seed, 0x4000 + pid),
-                            spec.topology == Topology::kFanOut);
-      sim::spawn(producer(cx, next_thread(), static_cast<int>(ti), pid,
-                          std::move(src)));
-    }
-  for (std::size_t s = 0; s < cx.stages.size(); ++s)
-    for (std::size_t c = 0; c < cx.stages[s].channels.size(); ++c)
-      for (int w = 0; w < cx.stages[s].channels[c].workers; ++w)
-        sim::spawn(worker(cx, next_thread(), static_cast<int>(s),
-                          static_cast<int>(c)));
-  sim::spawn(coordinator(cx, next_thread()));
-
-  // --- observability and control (neither schedules an event) -------------
-  obs::Timeline* tl = obs ? obs->timeline : nullptr;
+  obs::Timeline* tl = observe(run);
   std::vector<EpochClock> clocks;
-  if (tl) {
-    register_series(*tl, cx, m_, f_);
-    if (cx.fp) cx.fp->register_series(*tl);
+  if (tl)
     clocks.push_back({std::max<Tick>(obs->sample_every, 1),
                       [tl](Tick at) { tl->sample(at); }});
-  }
-  // The supervisor reads its own private timeline on its own fixed clock,
-  // so attaching hooks (or changing their cadence) cannot change what it
-  // decides. It only reads the latest cut, so one epoch is retained.
-  obs::Timeline sup_tl(1);
-  std::unique_ptr<runtime::QosSupervisor> sup =
-      wire::make_supervisor(spec, f_.backend());
-  if (sup) {
-    wire::attach_machine(*sup, spec, f_.backend(), m_, f_);
-    register_class_series(sup_tl, tenants_of(cx));
-    if (tl) sup->register_series(*tl);
-    clocks.push_back({kSupervisorPeriod, [&](Tick at) {
-                        sup_tl.sample(at);
-                        sup->on_epoch(sup_tl);
-                      }});
-  }
-  if (obs && obs->tracer) {
-    m_.eq().set_trace(&obs->tracer->buffer(0));
-    obs->tracer->set_process_name(0, "machine");
-  }
-
-  const Tick t0 = m_.now();
-  const std::uint64_t ev0 = m_.eq().executed();
+  if (run.sup)
+    clocks.push_back(
+        {kSupervisorPeriod, [&run](Tick at) { supervise(run, at); }});
   run_sampled(m_.eq(), std::move(clocks));
-  if (tl) {
-    // Final cumulative sample: the last epoch's class series equal the
-    // end-of-run ScenarioMetrics by construction (same aggregation, same
-    // source counters). Then detach — the closures dangle once cx's
-    // metrics move into the result.
-    tl->sample(m_.now());
-    tl->detach();
+  return collect(run, seed, scale);
+}
+
+ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
+                          std::uint64_t seed, const ShardedOptions& opts,
+                          int scale) {
+  // The mesh scales its global budget, not the per-producer counts.
+  const std::uint64_t population =
+      opts.population ? opts.population : spec.sharding.population;
+  const std::uint64_t messages_total =
+      (opts.messages ? opts.messages : spec.sharding.messages_total) *
+      static_cast<std::uint64_t>(std::max(scale, 1));
+  const int S = opts.shards;
+  const std::pair<bool, std::string> unshardable[] = {
+      {S < 1, "shards must be >= 1"},
+      {population == 0, "scenario '" + spec.name + "' has no sharding population"},
+      {messages_total == 0,
+       "scenario '" + spec.name + "' has no sharding message budget"},
+      {spec.topology != Topology::kFanOut && spec.topology != Topology::kMesh,
+       "sharded runs need a fan-out/mesh topology (channel per consumer)"},
+      {spec.closed_loop, "sharded runs are open-loop only"},
+      {spec.consumers < S,
+       "need at least one consumer per shard (consumers >= shards)"},
+      {!spec.lifecycle.empty(),
+       "lifecycle events (churn/reconfig) need a single node: the lifecycle "
+       "plane is run-wide state that threaded shards would race on"}};
+  for (const auto& [bad, why] : unshardable)
+    if (bad) throw std::invalid_argument(why);
+
+  ShardRouter router(S);
+  sim::ShardedSim ssim(spec.sharding.link_latency, opts.sim_threads);
+  ssim.set_link_window(spec.sharding.link_window);
+  // Declared before the run, so the nodes' channels go first at teardown.
+  std::vector<std::unique_ptr<runtime::Machine>> machines;
+  std::vector<std::unique_ptr<squeue::ChannelFactory>> factories;
+  Run run(spec, backend, seed, opts.obs, &router);
+  run.range = population;
+  run.ssim = &ssim;
+
+  // Producers and channels are dealt round-robin: global producer p lives
+  // on shard p % S, global channel c on shard c % S. Each shard's hardware
+  // knobs (QoS quota carve, per-SQI splits) are sized for the channels *it*
+  // hosts, exactly as a standalone node's would be.
+  std::vector<int> np(static_cast<std::size_t>(S)), nch(np);
+  for (int p = 0; p < spec.producers; ++p) ++np[static_cast<std::size_t>(p % S)];
+  for (int c = 0; c < spec.consumers; ++c)
+    ++nch[static_cast<std::size_t>(c % S)];
+  const std::uint8_t frame = frame_words(spec, backend);
+  for (int sh = 0; sh < S; ++sh) {
+    ScenarioSpec hosted = spec;
+    hosted.producers = std::max(np[static_cast<std::size_t>(sh)], 1);
+    hosted.consumers = nch[static_cast<std::size_t>(sh)];
+    auto& m = *machines.emplace_back(std::make_unique<runtime::Machine>(
+        machine_config_for(hosted, backend)));
+    auto& f = *factories.emplace_back(
+        std::make_unique<squeue::ChannelFactory>(m, backend));
+    Node& n = add_node(run, m, f, hosted);
+    add_stage(n, hosted.consumers, 1, "sh" + std::to_string(sh),
+              spec.capacity_hint, frame);
+    n.producers_remaining = np[static_cast<std::size_t>(sh)];
+    ssim.add_shard(m.eq());
   }
-  m_.eq().set_trace(nullptr);
+  obs::Timeline* tl = observe(run);
 
-  // A drained queue with workers still parked is a stranded consumer
-  // (lost pill, protocol deadlock): fail loudly rather than report a
-  // partial run.
-  std::string stuck;
-  for (const Stage& st : cx.stages)
-    for (const StageChannel& sc : st.channels)
-      if (sc.workers_done < sc.workers) stuck += " " + sc.label;
-  if (!stuck.empty())
-    throw std::runtime_error("scenario '" + spec.name +
-                             "': queue drained with workers still waiting "
-                             "on stage channels" + stuck);
+  // Global message budget over global producer ids (largest remainder),
+  // tenants assigned as on a single node — both are shard-count-invariant,
+  // which is what makes delivered counts equal across S.
+  const std::vector<int> tenant_of = producer_tenants(spec);
+  const std::uint64_t per =
+      messages_total / static_cast<std::uint64_t>(spec.producers);
+  const std::uint64_t rem =
+      messages_total % static_cast<std::uint64_t>(spec.producers);
 
-  // --- collect --------------------------------------------------------------
-  EngineResult r;
-  r.scenario = spec.name;
-  r.backend = squeue::to_string(f_.backend());
-  r.seed = seed;
-  r.scale = scale;
-  r.events = m_.eq().executed() - ev0;
-  r.metrics.tenants = std::move(cx.tenants);
-  r.metrics.ticks = m_.now() - t0;
-  r.metrics.ns = m_.ns(r.metrics.ticks);
-  r.device_stats = m_.statset();
+  // Per shard: the termination actor first (it relays link ingress all
+  // run long), then the workers, then the producers with a budget.
+  for (int sh = 0; sh < S; ++sh) {
+    Node& n = *run.nodes[static_cast<std::size_t>(sh)];
+    Placer place{n.m};
+    sim::spawn(terminator(n, place.next()));
+    spawn_workers(run, n, place);
+    for (int p = sh; p < spec.producers; p += S) {
+      const int ti = tenant_of[static_cast<std::size_t>(p)];
+      wire::MessageSource src =
+          spec.replay
+              ? wire::MessageSource(*spec.replay, p, backend)
+              : wire::MessageSource(
+                    spec.tenants[static_cast<std::size_t>(ti)], backend,
+                    per + (static_cast<std::uint64_t>(p) < rem ? 1 : 0),
+                    wire::split_seed(seed, 0x5000 + p),
+                    wire::split_seed(seed, 0x6000 + p), /*rotate=*/false);
+      if (src.budget())
+        sim::spawn(producer(run, n, place.next(), ti, p, std::move(src)));
+      else
+        --n.producers_remaining;
+    }
+  }
+
+  // Barrier hook: once every producer mesh-wide has finished (their posts
+  // were drained by this barrier's exchange), raise each node's stop flag
+  // one lookahead out — deliveries landing on that same tick were
+  // scheduled first, so payload always precedes the pills. Until then,
+  // optionally rebalance the ring off persistently hot shards.
+  obs::TraceBuffer* barrier_tb =
+      opts.obs && opts.obs->tracer
+          ? &opts.obs->tracer->buffer(static_cast<std::uint32_t>(S))
+          : nullptr;
+  bool stop_sent = false;
+  std::uint64_t rebalanced = 0;
+  std::uint64_t barriers = 0;
+  std::vector<std::uint64_t> prev_lat_blocked(static_cast<std::size_t>(S), 0);
+  auto hook = [&]() -> bool {
+    const Tick now = run.nodes.front()->m.now();
+    // Link-fault table first (single-threaded here, shards tick-aligned):
+    // each epoch then steps under one immutable table, which keeps fault
+    // runs byte-identical between sequential and threaded stepping. Runs
+    // before the stop check so partitions lift during the drain phase.
+    if (run.plane) run.plane->apply_links(ssim, now, barrier_tb);
+    // Timeline and supervisor epochs: after the exchange every shard
+    // stands at the same tick, so one sample is a consistent mesh-wide
+    // cut. Sampling reads counters only — it never schedules.
+    if (tl) tl->sample(now);
+    if (run.sup) supervise(run, now);
+    if (stop_sent) return true;
+    if (std::all_of(run.nodes.begin(), run.nodes.end(),
+                    [](const auto& n) { return n->producers_remaining == 0; })) {
+      for (const auto& n : run.nodes) {
+        Node* p = n.get();
+        p->m.eq().schedule_at(p->m.now() + spec.sharding.link_latency, [p] {
+          p->stop = true;
+          p->ingress_wq.wake_one();
+        });
+      }
+      stop_sent = true;
+      return true;
+    }
+    if (spec.sharding.rebalance && ++barriers % kRebalancePeriod == 0) {
+      std::vector<std::uint64_t> load;
+      for (std::size_t si = 0; si < run.nodes.size(); ++si) {
+        const Node& n = *run.nodes[si];
+        std::uint64_t l = n.ingress.size();
+        for (const auto& sc : n.stages.front().channels) l += sc.ch->depth();
+        if (run.sup) {
+          // SLO-aware pressure: a shard whose latency class spent this
+          // window blocked is hotter than its queue depths alone say, so
+          // fold the blocked-ticks growth into its load estimate (scaled
+          // down to queue-depth units).
+          std::uint64_t bl = 0;
+          for (const auto& t : n.tenants)
+            if (t.qos == QosClass::kLatency) bl += t.blocked_ticks;
+          l += (bl - prev_lat_blocked[si]) / 64;
+          prev_lat_blocked[si] = bl;
+        }
+        load.push_back(l);
+      }
+      rebalanced += router.rebalance(load, population);
+    }
+    return false;
+  };
+  ssim.run(hook);
+
+  ShardedResult r;
+  for (const auto& n : run.nodes) {
+    r.shard_digests.push_back(n->digest);
+    std::uint64_t delivered = 0;
+    for (const auto& t : n->tenants) delivered += t.delivered;
+    r.shard_delivered.push_back(delivered);
+  }
+  r.engine = collect(run, seed, scale);
+  r.shards = S;
+  r.sim_threads = opts.sim_threads;
+  r.epochs = ssim.stats().epochs;
+  r.cross_shard = ssim.stats().messages;
+  r.window_stalls = ssim.stats().window_stalls;
+  r.rebalanced = rebalanced;
   return r;
 }
 
@@ -581,7 +1047,7 @@ std::string EngineResult::table() const {
 }
 
 sim::SystemConfig machine_config_for(const ScenarioSpec& spec,
-                                     squeue::Backend backend) {
+                                     Backend backend) {
   sim::SystemConfig cfg = squeue::config_for(backend);
 
   // Provision routing devices for wide fan-outs (paper § III-C2: address
@@ -595,7 +1061,7 @@ sim::SystemConfig machine_config_for(const ScenarioSpec& spec,
       (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
           ? spec.consumers
           : 1;
-  if (backend == squeue::Backend::kVl && payload_sqis > 4)
+  if (backend == Backend::kVl && payload_sqis > 4)
     cfg.vlrd.num_devices = std::min<std::uint32_t>(
         (static_cast<std::uint32_t>(payload_sqis) + 3) / 4,
         1u << vlrd::kVlrdIdBits);
@@ -606,11 +1072,11 @@ sim::SystemConfig machine_config_for(const ScenarioSpec& spec,
   // weights this reproduces the historic hand-carved tables bit-for-bit.
   const runtime::ChannelDemand d = channel_demand_for(spec, backend, cfg);
   const runtime::QuotaPlan plan = runtime::size_quotas(cfg, d);
-  if (backend == squeue::Backend::kVl && d.relay_channels > 0)
+  if (backend == Backend::kVl && d.relay_channels > 0)
     cfg.vlrd.per_sqi_quota = plan.per_sqi_quota;
   if (d.qos) {
     for (std::size_t c = 0; c < kQosClasses; ++c) {
-      if (backend == squeue::Backend::kVl)
+      if (backend == Backend::kVl)
         cfg.vlrd.class_quota[c] = plan.vl_class_quota[c];
       else
         cfg.caf.class_credits[c] = plan.caf_class_credits[c];
@@ -620,7 +1086,7 @@ sim::SystemConfig machine_config_for(const ScenarioSpec& spec,
 }
 
 runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
-                                          squeue::Backend backend,
+                                          Backend backend,
                                           const sim::SystemConfig& cfg) {
   runtime::ChannelDemand d;
 
@@ -629,7 +1095,7 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
   // per-SQI quota keeps total demand below capacity so chains drain.
   const bool has_relay_cycle =
       spec.topology == Topology::kPipeline || spec.closed_loop;
-  if (backend == squeue::Backend::kVl && has_relay_cycle) {
+  if (backend == Backend::kVl && has_relay_cycle) {
     std::uint32_t channels =
         spec.topology == Topology::kPipeline ? static_cast<std::uint32_t>(
                                                    std::max(spec.stages, 1))
@@ -657,14 +1123,13 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
   // otherwise a class could hold quota x SQIs entries and crowd the shared
   // buffer anyway. (Closed-loop ack channels are not counted: their
   // occupancy is window-bounded and tiny next to payload flows.)
-  if (spec.qos &&
-      (backend == squeue::Backend::kVl || backend == squeue::Backend::kCaf)) {
+  if (spec.qos && (backend == Backend::kVl || backend == Backend::kCaf)) {
     d.qos = true;
     bool present[kQosClasses] = {};
     for (const auto& t : spec.tenants)
       present[static_cast<std::size_t>(t.qos)] = true;
     runtime::base_weights(d, present);
-    if (backend == squeue::Backend::kVl) {
+    if (backend == Backend::kVl) {
       if (spec.topology == Topology::kPipeline)
         d.payload_sqis = static_cast<std::uint32_t>(std::max(spec.stages, 1));
       else if (spec.topology == Topology::kFanOut ||
@@ -678,7 +1143,7 @@ runtime::ChannelDemand channel_demand_for(const ScenarioSpec& spec,
   return d;
 }
 
-EngineResult run_spec(const ScenarioSpec& spec, squeue::Backend backend,
+EngineResult run_spec(const ScenarioSpec& spec, Backend backend,
                       std::uint64_t seed, int scale,
                       const obs::RunHooks* obs) {
   runtime::Machine m(machine_config_for(spec, backend));
@@ -687,7 +1152,7 @@ EngineResult run_spec(const ScenarioSpec& spec, squeue::Backend backend,
   return eng.run(spec, seed, scale, obs);
 }
 
-EngineResult run_scenario(const std::string& name, squeue::Backend backend,
+EngineResult run_scenario(const std::string& name, Backend backend,
                           std::uint64_t seed, int scale,
                           const obs::RunHooks* obs) {
   const ScenarioSpec* spec = find_scenario(name);

@@ -1,18 +1,19 @@
 #pragma once
-// The traffic engine: instantiates a ScenarioSpec over a ChannelFactory,
-// spawns producer / relay / consumer SimThreads, drives open- or
-// closed-loop load, and collects per-tenant latency metrics.
+// The traffic engine: instantiates a ScenarioSpec over modelled nodes
+// (each a Machine with its channels, metric rows and event digest), spawns
+// producer / worker / termination-actor SimThreads on each, drives open- or
+// closed-loop load, and collects per-tenant latency metrics. Engine::run
+// drives one node on the caller's machine, run_sharded
+// (traffic/sharded_engine.hpp) a mesh of them; both run the same actors
+// and setup (engine.cpp) and differ only in data and in their stepper.
 //
 // Message framing (traffic/wire.hpp): word 0 of every payload message
 // carries the tenant, producer and send tick, so any final-stage consumer
 // can attribute latency and route closed-loop acks with no lookup state.
 //
-// Termination uses pilot pills: when the last producer finishes, a
-// coordinator thread enqueues one poison pill per first-stage consumer;
-// a pipeline stage's last-to-finish worker forwards pills to the next
-// stage. Since every backend's queue object delivers accepted messages in
-// arrival order, pills enqueued strictly after all payload sends complete
-// are delivered last, so no payload is stranded behind a stopped worker.
+// Termination uses count-carrying pills: once no more payload can reach a
+// node, its termination actor enqueues one pill per first-stage worker; a
+// pipeline stage's last-to-finish worker forwards pills downstream.
 
 #include <cstdint>
 #include <string>
@@ -61,8 +62,8 @@ class Engine {
   /// are byte-identical with and without it. A supervised run's QoS
   /// supervisor samples on its own fixed clock, whatever `obs` carries.
   ///
-  /// Throws std::runtime_error when the queue drains with a final-stage
-  /// worker still waiting (a stranded consumer), naming its channel.
+  /// Throws std::runtime_error when the queue drains with a worker still
+  /// waiting (a stranded consumer), naming its channel (sNcM).
   EngineResult run(const ScenarioSpec& spec, std::uint64_t seed,
                    int scale = 1, const obs::RunHooks* obs = nullptr);
 

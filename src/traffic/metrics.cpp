@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/table.hpp"
-#include "obs/timeline.hpp"
 
 namespace vl::traffic {
 
@@ -302,56 +301,6 @@ std::string ScenarioMetrics::table() const {
   TextTable tt(csv_header());
   for (auto& row : csv_rows()) tt.add_row(row);
   return tt.render();
-}
-
-void register_class_series(obs::Timeline& tl, const TenantVisitor& each) {
-  bool present[kQosClasses] = {};
-  each([&present](const TenantMetrics& t) {
-    present[static_cast<std::size_t>(t.qos)] = true;
-  });
-  for (std::size_t c = 0; c < kQosClasses; ++c) {
-    if (!present[c]) continue;
-    const auto cls = static_cast<QosClass>(c);
-    const std::string base = std::string("class.") + to_string(cls) + ".";
-    // Sum of `view` over the class's tenants.
-    auto fold = [each, cls](double (*view)(const TenantMetrics&)) {
-      double acc = 0.0;
-      each([&](const TenantMetrics& t) {
-        if (t.qos == cls) acc += view(t);
-      });
-      return acc;
-    };
-    const std::pair<const char*, double (*)(const TenantMetrics&)> sums[] = {
-        {"delivered", [](const TenantMetrics& t) { return 1.0 * t.delivered; }},
-        {"sent", [](const TenantMetrics& t) { return 1.0 * t.sent; }},
-        {"blocked_ticks",
-         [](const TenantMetrics& t) { return 1.0 * t.blocked_ticks; }}};
-    for (const auto& [name, view] : sums)
-      tl.add_series(base + name, [fold, view] { return fold(view); });
-    tl.add_series(base + "p99", [each, cls] {
-      LogHistogram h;
-      each([&](const TenantMetrics& t) {
-        if (t.qos == cls) h.merge(t.latency);
-      });
-      return static_cast<double>(h.percentile(99));
-    });
-    // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct.
-    // The QoS supervisor differences consecutive epochs of this and of
-    // `delivered` to get a *windowed* attainment, which reacts to the
-    // current epoch instead of averaging over the whole run.
-    auto within = [](const TenantMetrics& t) {
-      return static_cast<double>(t.slo_within());
-    };
-    tl.add_series(base + "slo_within", [fold, within] { return fold(within); });
-    tl.add_series(base + "slo_att_pct", [fold, within] {
-      // ClassAgg::slo_attained_pct over the class's SLO-carrying tenants.
-      const double delivered = fold([](const TenantMetrics& t) {
-        return t.slo_p99 ? static_cast<double>(t.delivered) : 0.0;
-      });
-      if (!delivered) return 100.0;
-      return 100.0 * fold(within) / delivered;
-    });
-  }
 }
 
 }  // namespace vl::traffic

@@ -1,7 +1,6 @@
 #pragma once
 // Traffic-engine metrics: HDR-style log-bucketed latency histograms with
-// percentile queries, per-tenant counters, and the per-class timeline
-// series both engines publish.
+// percentile queries and per-tenant counters.
 //
 // common/stats.hpp's Samples stores every observation for exact
 // percentiles, which is fine for bounded Table-II kernels but not for
@@ -12,16 +11,11 @@
 // the relative quantile error at 1/32 (~3.1%).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-
-namespace vl::obs {
-class Timeline;
-}
 
 namespace vl::traffic {
 
@@ -118,8 +112,8 @@ struct ScenarioMetrics {
   std::uint64_t total_delivered() const;
   std::uint64_t total_dropped() const;
 
-  /// Fold another run's metrics in — the per-shard aggregation the sharded
-  /// engine uses. Tenants are matched by name (histograms merged, counters
+  /// Fold another run's metrics in — the per-node aggregation of a sharded
+  /// run. Tenants are matched by name (histograms merged, counters
   /// summed; unmatched tenants appended), and ticks/ns take the max: shards
   /// run the same virtual clock, so the merged duration is the latest
   /// finisher, not the sum.
@@ -144,17 +138,5 @@ struct ScenarioMetrics {
   /// stop parsing the human table.
   std::string json() const;
 };
-
-/// Calls its argument once per TenantMetrics of a run — every shard's, on
-/// a sharded run.
-using TenantVisitor =
-    std::function<void(const std::function<void(const TenantMetrics&)>&)>;
-
-/// Register the per-class cumulative series "class.<cls>.delivered",
-/// ".sent", ".blocked_ticks", ".p99", ".slo_within" and ".slo_att_pct" for
-/// every class `each` visits. They aggregate the class's tenants exactly
-/// the way ScenarioMetrics::by_class() does, so a final epoch equals the
-/// end-of-run report. The closures call `each` at every sample.
-void register_class_series(obs::Timeline& tl, const TenantVisitor& each);
 
 }  // namespace vl::traffic

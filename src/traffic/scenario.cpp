@@ -372,7 +372,7 @@ std::vector<ScenarioSpec> build_registry() {
   {
     // The sharding workhorse (ROADMAP item 2): three service classes under
     // a day/night ramp, fanned out one channel per consumer, designed to
-    // run across a shard mesh. The classic engine runs it too (small —
+    // run across a shard mesh. A single node runs it too (small —
     // messages_per_producer below — so the every-preset regression stays
     // cheap); run_sharded ignores messages_per_producer and spreads
     // sharding.messages_total over the producers against a

@@ -72,8 +72,8 @@ struct TenantSpec {
 
 /// Parameters for sharded runs (traffic/sharded_engine.hpp): a logical
 /// tenant population routed over a consistent-hash ring onto S shards,
-/// each a full Machine, synchronised by conservative lookahead. The
-/// classic single-machine engine ignores this block entirely — a preset
+/// each a full Machine, synchronised by conservative lookahead. A
+/// single-node run ignores this block entirely — a preset
 /// carrying it still runs (small) on one machine, which is what keeps
 /// sharded presets inside the every-preset regression tests.
 struct ShardingSpec {
@@ -113,7 +113,7 @@ struct ScenarioSpec {
   fault::FaultSpec faults;
   /// Deterministic lifecycle schedule (replay/lifecycle.hpp): tenant
   /// join/leave churn and SQI re-registration events. Empty = static run.
-  /// Classic engine only; run_sharded rejects specs that carry one. CLIs
+  /// Single node only; run_sharded rejects specs that carry one. CLIs
   /// override it with --churn / --reconfig.
   replay::LifecycleSpec lifecycle;
   /// Replay source (replay/trace.hpp): when set, every producer ignores

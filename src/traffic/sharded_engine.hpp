@@ -1,27 +1,26 @@
 #pragma once
-// Sharded traffic engine: one ScenarioSpec over a mesh of S shards.
+// Sharded runs: one ScenarioSpec over a mesh of S nodes (shards).
 //
 // Each shard is a complete modelled node — its own sim::EventQueue,
 // runtime::Machine (cores, memory, VLRD/CAF devices), channels, and
 // consumers — the paper's § III-C2 multi-VLRD partitioning taken to its
 // logical end: disjoint virtual queues never share state, so the simulator
-// need not share a calendar either. A consistent-hash ShardRouter maps a
-// logical tenant population (spec.sharding.population ids — far more
-// tenants than producer threads; producers draw a destination tenant per
-// message) onto shards; messages whose destination lives on the producing
-// shard inject locally, the rest cross a modelled inter-shard link (fixed
-// sharding.link_latency hop, sharding.link_window in-flight bound) and are
-// injected by the destination shard's relay thread.
+// need not share a calendar either. The mesh runs the single-node engine
+// (traffic/engine.cpp) on every shard; only its route differs. Producers
+// draw a logical destination tenant per message from
+// spec.sharding.population, which a consistent-hash ShardRouter maps onto
+// a shard. Local messages inject directly; the rest cross a modelled
+// inter-shard link (sharding.link_latency hop, sharding.link_window
+// in-flight bound) into the destination's termination actor.
 //
 // Shards advance under sim::ShardedSim's conservative lookahead, so a run
 // is deterministic — byte-identical CSV and per-shard event digests for a
 // fixed (spec, backend, seed, shards) — in both sequential round-robin and
 // `sim_threads > 1` stepping.
 //
-// Scaling story (the perf_opt): at S=1 every producer, consumer, and SQI
-// lands on one 16-core machine — heavy run-queue oversubscription, one
-// shared prodBuf NACK-churning across all channels, one calendar carrying
-// every event. At S=8 each node runs a handful of threads and SQIs, so
+// Scaling story: at S=1 every producer, consumer, and SQI lands on one
+// 16-core machine — heavy run-queue oversubscription, one shared prodBuf,
+// one calendar. At S=8 each node runs a handful of threads and SQIs, so
 // events-per-message collapses and the (sequential) wall clock with it.
 
 #include <cstdint>
@@ -67,12 +66,15 @@ struct ShardedResult {
 };
 
 /// Run `spec` across opts.shards shards. Requires a fan-out/mesh topology
-/// (one consumer per channel), open loop, and a sharding block with
-/// population > 0 and messages_total > 0 (after opts overrides). The
+/// (one consumer per channel), open loop, no lifecycle events (the
+/// lifecycle plane is run-wide state that threaded shards would race on),
+/// and a sharding block with population > 0 and messages_total > 0 (after
+/// opts overrides). Shedding (drop_depth) reads local channels only. The
 /// global message budget is spread over spec.producers producers
 /// regardless of shard count, so delivered counts match across S — the
 /// equal-work basis of the 1-vs-8-shard comparison. Throws
-/// std::invalid_argument on an unshardable spec.
+/// std::invalid_argument on an unshardable spec, and std::runtime_error
+/// naming the stuck shard channels (shNcM) when a worker is stranded.
 ShardedResult run_sharded(const ScenarioSpec& spec, squeue::Backend backend,
                           std::uint64_t seed, const ShardedOptions& opts,
                           int scale = 1);

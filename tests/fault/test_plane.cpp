@@ -1,8 +1,8 @@
 // Fault-plane behaviour through the real engines: byte-identical chaos
 // replay, zero-loss stall windows, channel loss/dup conservation on
 // software backends (and their gating off hardware backends), flash-crowd
-// load mutation, and sharded link faults staying deterministic across
-// sequential-vs-threaded stepping.
+// load mutation, and sharded link faults, channel loss/dup and shedding
+// staying deterministic across sequential-vs-threaded stepping.
 
 #include "fault/plane.hpp"
 
@@ -161,6 +161,51 @@ TEST(FaultPlane, ShardedLinkFaultsMatchSeqVsThreaded) {
       traffic::run_sharded(*find_scenario("shard-diurnal"), Backend::kVl, 42,
                            seq);
   EXPECT_NE(a.shard_digests, plain.shard_digests);
+}
+
+TEST(FaultPlane, ShardedChanFaultsAndSheddingConserveAndMatchSeqVsThreaded) {
+  ShardedOptions seq;
+  seq.shards = 4;
+  seq.population = 4000;
+  seq.messages = 2048;
+  ShardedOptions thr = seq;
+  thr.sim_threads = 4;
+
+  // Two inputs: channel loss/dup faults, and producer-side shedding at a
+  // full local channel (drop_depth, which a mesh node honours too).
+  ScenarioSpec faulted = with_faults(
+      "shard-diurnal", "loss@0+10000000:every=5;dup@0+10000000:every=7");
+  ScenarioSpec shed = *find_scenario("shard-diurnal");
+  for (auto& t : shed.tenants) t.drop_depth = 2;
+
+  for (const ScenarioSpec* s : {&faulted, &shed}) {
+    const auto a = traffic::run_sharded(*s, Backend::kZmq, 42, seq);
+    const auto b = traffic::run_sharded(*s, Backend::kZmq, 42, thr);
+    EXPECT_EQ(a.shard_digests, b.shard_digests);
+    EXPECT_EQ(a.shard_delivered, b.shard_delivered);
+    EXPECT_EQ(a.engine.csv(), b.engine.csv());
+
+    // Per class, everything sent arrives; what was generated is either
+    // delivered or dropped, with each duplicate copy one extra delivery.
+    const std::uint64_t duped = a.engine.device_stats.get("fault.chan_duped");
+    const std::uint64_t lost = a.engine.device_stats.get("fault.chan_lost");
+    std::uint64_t gen = 0, del = 0, drop = 0;
+    for (const auto& t : a.engine.metrics.tenants) {
+      EXPECT_EQ(t.delivered, t.sent) << t.tenant;
+      if (!duped) {
+        EXPECT_EQ(t.generated, t.delivered + t.dropped) << t.tenant;
+      }
+      gen += t.generated;
+      del += t.delivered;
+      drop += t.dropped;
+    }
+    EXPECT_GT(drop, 0u);
+    EXPECT_EQ(gen + duped, del + drop);
+    if (s == &faulted) {
+      EXPECT_GT(duped, 0u);
+      EXPECT_EQ(drop, lost);
+    }
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // FaultSpec grammar coverage: clause parsing, window semantics, the
 // summary() round-trip, deterministic rand: expansion, and the
-// position-annotated rejection of malformed input.
+// rejection of malformed input with the offending clause named.
 
 #include "fault/spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace vl::fault {
 namespace {
@@ -91,6 +92,37 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(FaultSpec::parse("loss@1+2"), std::invalid_argument);   // every
   EXPECT_THROW(FaultSpec::parse("stall@1+2:bogus=3"), std::invalid_argument);
   EXPECT_THROW(FaultSpec::parse("flash@1+2:factor=x"), std::invalid_argument);
+}
+
+// The error must come from the clause grammar and quote the clause.
+void expect_rejected(const std::string& text, const std::string& clause) {
+  try {
+    FaultSpec::parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FaultSpec, RejectsOutOfRangeIntegersNamingTheClause) {
+  // Used to throw a bare std::stoull error without the clause.
+  expect_rejected("stall@99999999999999999999999+1",
+                  "stall@99999999999999999999999+1");
+  // Used to wrap to src=0.
+  expect_rejected("stall@1+2; partition@100+10:src=4294967296,dst=1",
+                  "partition@100+10:src=4294967296,dst=1");
+  // Used to ask for 2e9 events with no bound.
+  expect_rejected("rand:1,2000000000", "rand:1,2000000000");
+  expect_rejected("loss@0+10:every=4294967296", "loss@0+10:every=4294967296");
+  expect_rejected("flash@0+10:factor=nan", "flash@0+10:factor=nan");
+  expect_rejected("flash@0+10:factor=1,class=3", "flash@0+10:factor=1,class=3");
+  // The bounds themselves are accepted.
+  const FaultSpec ok = FaultSpec::parse(
+      "stall@281474976710655+1;partition@1+2:src=2147483647;rand:1,4096");
+  EXPECT_EQ(ok.events.size(), 2u + 4096u);
+  EXPECT_EQ(ok.events[1].src, 2147483647);
 }
 
 }  // namespace

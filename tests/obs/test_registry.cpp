@@ -88,7 +88,7 @@ TEST(Registry, SnapshotExportsToStatSet) {
 }
 
 TEST(Registry, MergeIntoFoldsAcrossRegistries) {
-  // The sharded engine's post-join pattern: one StatSet accumulating every
+  // A shard mesh's post-join pattern: one StatSet accumulating every
   // shard's snapshot.
   Registry shard0, shard1;
   shard0.counter("vlrd.pushes").inc(5);

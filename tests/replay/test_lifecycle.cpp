@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "traffic/engine.hpp"
 
@@ -43,6 +44,27 @@ TEST(LifecycleSpec, MalformedInputsThrow) {
   EXPECT_THROW(LifecycleSpec::parse("join@100"), std::invalid_argument);
   EXPECT_THROW(LifecycleSpec::parse("leave@xyz:tenant=a"),
                std::invalid_argument);
+}
+
+TEST(LifecycleSpec, BadIntegersThrowNamingTheClause) {
+  // Each used to parse silently: channel=abc as channel 0, channel=-5 as
+  // "every channel", and the oversized tick clamped to 2^64-1.
+  for (const std::string clause :
+       {"reconfig@20000:channel=abc", "reconfig@20000:channel=-5",
+        "leave@99999999999999999999999:tenant=bulk",
+        "reconfig@1:channel=2147483648", "leave@5+10:tenant=bulk"}) {
+    try {
+      LifecycleSpec::parse("join@1:tenant=a; " + clause);
+      ADD_FAILURE() << "accepted: " << clause;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + clause + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(LifecycleSpec::parse("reconfig@281474976710655:channel=2147483647")
+                .summary(),
+            "reconfig@281474976710655:channel=2147483647");
 }
 
 TEST(LifecyclePlane, WindowsAndNextActive) {

@@ -1,8 +1,8 @@
-// Record/replay through the traffic engines: a recorded run replayed on
+// Record/replay through the traffic engine: a recorded run replayed on
 // the same cell reproduces per-tenant counts exactly (the trace is the
 // post-shed stream) and the latency distribution tick-for-tick; replay is
 // deterministic; re-recording a replay reproduces the trace; shape and
-// engine-kind mismatches throw instead of replaying garbage.
+// single-node vs mesh mismatches throw instead of replaying garbage.
 
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST(ReplayEngine, ShapeMismatchThrows) {
 TEST(ReplayEngine, EngineKindMismatchThrows) {
   replay::Trace t;
   t.scenario = "shard-diurnal";
-  t.sharded = true;  // recorded by the sharded engine
+  t.sharded = true;  // recorded on a shard mesh
   t.producers = 8;
   t.tenants = 3;
   ScenarioSpec spec = *find_scenario("qos-incast");
@@ -139,7 +139,7 @@ TEST(ReplayEngine, ShardedRecordReplayRoundTrip) {
   EXPECT_EQ(replayed.engine.metrics.total_delivered(),
             recorded.engine.metrics.total_delivered());
 
-  // A classic-engine replay of a sharded trace must be rejected.
+  // A single-node replay of a mesh trace must be rejected.
   ScenarioSpec classic = *find_scenario("qos-incast");
   classic.replay = &trace;
   EXPECT_THROW(run_spec(classic, Backend::kVl, 42), std::invalid_argument);
