@@ -308,11 +308,10 @@ int main(int argc, char** argv) {
   const std::string replay_path = arg_value(argc, argv, "--replay", "");
   const std::string churn = arg_value(argc, argv, "--churn", "");
   const bool warm_restart = has_flag(argc, argv, "--warm-restart");
-  vl::replay::LifecycleSpec churn_spec;
   if (!churn.empty()) {
     try {
-      churn_spec = vl::replay::LifecycleSpec::parse(churn);
-      std::fprintf(stderr, "churn: %s\n", churn_spec.summary().c_str());
+      std::fprintf(stderr, "churn: %s\n",
+                   vl::replay::LifecycleSpec::parse(churn).summary().c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
@@ -368,15 +367,6 @@ int main(int argc, char** argv) {
                    to_string(b));
       return 2;
     }
-    if (churn_spec.has_reconfig() && b != Backend::kVl &&
-        b != Backend::kVlIdeal) {
-      std::fprintf(stderr,
-                   "unsupported combination: --churn reconfig@ with "
-                   "--backend %s — SQI re-registration exists only on the "
-                   "VL backends (vl, vlideal)\n",
-                   to_string(b));
-      return 2;
-    }
   }
   if (!record_path.empty() && !replay_path.empty()) {
     std::fprintf(stderr,
@@ -389,13 +379,6 @@ int main(int argc, char** argv) {
                  "unsupported combination: --replay with --faults loss/dup "
                  "— a trace is the post-shed stream, loss/dup are already "
                  "reflected in the recorded ticks\n");
-    return 2;
-  }
-  if (!churn.empty() && shards > 0) {
-    std::fprintf(stderr,
-                 "unsupported combination: --churn with --shards — "
-                 "lifecycle events need a single node (the lifecycle plane "
-                 "is run-wide state that threaded shards would race on)\n");
     return 2;
   }
 
@@ -465,15 +448,6 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--replay %s: %s\n", replay_path.c_str(),
                    e.what());
-      return 2;
-    }
-    if (replay_trace->sharded != (shards > 0)) {
-      std::fprintf(stderr,
-                   "--replay: trace was recorded on %s; %s\n",
-                   replay_trace->sharded ? "a shard mesh" : "a single node",
-                   replay_trace->sharded
-                       ? "pass --shards N to replay it"
-                       : "drop --shards to replay it");
       return 2;
     }
     std::fprintf(stderr,

@@ -51,46 +51,38 @@ sim::Co<Msg> SimBlfq::load_cell(sim::SimThread t, std::uint64_t pos) {
   co_return msg;
 }
 
-sim::Co<SendResult> SimBlfq::try_send(sim::SimThread t, const Msg& msg) {
+sim::Co<SimBlfq::Claim> SimBlfq::claim(sim::SimThread t, Addr index,
+                                       std::size_t max, std::uint64_t lag) {
   for (;;) {
-    const std::uint64_t pos = co_await t.load(tail_, 8);
-    const std::uint64_t seq = co_await t.load(cell_meta(pos), 8);
-    const auto dif = static_cast<std::int64_t>(seq - pos);
-    if (dif == 0) {
-      // Claim the slot by advancing the shared tail — the contended CAS.
-      if (co_await t.cas64(tail_, pos, pos + 1)) {
-        co_await store_cell(t, pos, msg);
-        co_return SendResult{SendStatus::kOk};
+    const std::uint64_t pos = co_await t.load(index, 8);
+    // Ready cells are contiguous from the index (the other side completes
+    // in index order up to in-flight stores), so probing the run's *last*
+    // cell suffices; shrink until it reads ready.
+    for (std::size_t k = max;; k /= 2) {
+      const std::uint64_t want = pos + k - 1;
+      const std::uint64_t seq = co_await t.load(cell_meta(want), 8);
+      const auto dif = static_cast<std::int64_t>(seq - (want + lag));
+      if (dif > 0) break;  // the index already moved past our snapshot
+      if (dif == 0) {
+        // One CAS claims the whole run — the contended ownership transfer.
+        if (co_await t.cas64(index, pos, pos + k)) co_return Claim{pos, k};
+        break;  // lost the race
       }
-      co_await t.compute(kContendedBackoff);  // lost the race; reload
-    } else if (dif < 0) {
-      // Ring wrapped: the slot one lap behind is still occupied. BLFQ has
-      // no back-pressure wake — the caller polls.
-      co_return SendResult{SendStatus::kFull};
-    } else {
-      co_await t.compute(kContendedBackoff);  // tail moved on; reload
+      if (k == 1) co_return Claim{pos, 0};  // not even one cell is ready
     }
+    co_await t.compute(kContendedBackoff);  // reload the index
   }
 }
 
-sim::Co<RecvResult> SimBlfq::try_recv(sim::SimThread t) {
+sim::Co<void> SimBlfq::await_inner(sim::SimThread t, std::uint64_t pos,
+                                   std::uint64_t seq) {
+  // The other side one lap behind may still be completing an inner cell
+  // (completions land out of order); its store is already in flight, so
+  // this wait is memory-latency-bounded, not queue-state blocking.
   for (;;) {
-    const std::uint64_t pos = co_await t.load(head_, 8);
-    const std::uint64_t seq = co_await t.load(cell_meta(pos), 8);
-    const auto dif = static_cast<std::int64_t>(seq - (pos + 1));
-    if (dif == 0) {
-      if (co_await t.cas64(head_, pos, pos + 1)) {
-        RecvResult r;
-        r.status = RecvStatus::kOk;
-        r.msg = co_await load_cell(t, pos);
-        co_return r;
-      }
-      co_await t.compute(kContendedBackoff);
-    } else if (dif < 0) {
-      co_return RecvResult{};  // empty
-    } else {
-      co_await t.compute(kContendedBackoff);
-    }
+    const std::uint64_t s = co_await t.load(cell_meta(pos), 8);
+    if (s == seq) co_return;
+    co_await t.compute(kContendedBackoff);
   }
 }
 
@@ -98,50 +90,21 @@ sim::Co<SendManyResult> SimBlfq::try_send_many(sim::SimThread t,
                                                std::span<const Msg> msgs) {
   SendManyResult r;
   while (r.sent < msgs.size()) {
-    const std::uint64_t pos = co_await t.load(tail_, 8);
-    // Find the longest claimable run: producer-ready cells are contiguous
-    // from the tail (consumers recycle in head order), so probing the
-    // run's *last* cell suffices; shrink until it reads ready.
-    std::size_t k = std::min(msgs.size() - r.sent, kMaxRun);
-    bool raced = false;
-    while (k >= 1) {
-      const std::uint64_t want = pos + k - 1;
-      const std::uint64_t seq = co_await t.load(cell_meta(want), 8);
-      const auto dif = static_cast<std::int64_t>(seq - want);
-      if (dif == 0) break;
-      if (dif > 0) {  // tail already advanced past our snapshot
-        raced = true;
-        break;
-      }
-      if (k == 1) {  // even one slot is still occupied a lap behind: full
-        r.status = SendStatus::kFull;
-        co_return r;
-      }
-      k /= 2;
+    const Claim c =
+        co_await claim(t, tail_, std::min(msgs.size() - r.sent, kMaxRun), 0);
+    if (c.n == 0) {
+      // Even one slot is still occupied a lap behind: the ring is full.
+      // BLFQ has no back-pressure wake — the caller polls.
+      r.status = SendStatus::kFull;
+      co_return r;
     }
-    if (raced) {
-      co_await t.compute(kContendedBackoff);
-      continue;
+    for (std::size_t i = 0; i < c.n; ++i) {
+      // The run's last cell read recycled before the CAS; no one else can
+      // touch it since, so only inner cells are re-checked.
+      if (i + 1 < c.n) co_await await_inner(t, c.pos + i, c.pos + i);
+      co_await store_cell(t, c.pos + i, msgs[r.sent + i]);
     }
-    // One CAS claims the whole run — the batched amortization of the
-    // contended shared-tail ownership transfer.
-    if (!co_await t.cas64(tail_, pos, pos + k)) {
-      co_await t.compute(kContendedBackoff);
-      continue;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      // A consumer one lap behind may still be recycling an inner cell
-      // (recycles can complete out of order); its store is already in
-      // flight, so this wait is memory-latency-bounded, not queue-state
-      // blocking.
-      for (;;) {
-        const std::uint64_t p = pos + i;
-        if (co_await t.load(cell_meta(p), 8) == p) break;
-        co_await t.compute(kContendedBackoff);
-      }
-      co_await store_cell(t, pos + i, msgs[r.sent + i]);
-    }
-    r.sent += k;
+    r.sent += c.n;
   }
   co_return r;
 }
@@ -150,38 +113,14 @@ sim::Co<std::size_t> SimBlfq::try_recv_many(sim::SimThread t,
                                             std::span<Msg> out) {
   std::size_t got = 0;
   while (got < out.size()) {
-    const std::uint64_t pos = co_await t.load(head_, 8);
-    std::size_t k = std::min(out.size() - got, kMaxRun);
-    bool raced = false;
-    while (k >= 1) {
-      const std::uint64_t want = pos + k - 1;
-      const std::uint64_t seq = co_await t.load(cell_meta(want), 8);
-      const auto dif = static_cast<std::int64_t>(seq - (want + 1));
-      if (dif == 0) break;
-      if (dif > 0) {
-        raced = true;
-        break;
-      }
-      if (k == 1) co_return got;  // nothing (more) published
-      k /= 2;
+    const Claim c =
+        co_await claim(t, head_, std::min(out.size() - got, kMaxRun), 1);
+    if (c.n == 0) break;  // nothing (more) published
+    for (std::size_t i = 0; i < c.n; ++i) {
+      if (i + 1 < c.n) co_await await_inner(t, c.pos + i, c.pos + i + 1);
+      out[got + i] = co_await load_cell(t, c.pos + i);
     }
-    if (raced) {
-      co_await t.compute(kContendedBackoff);
-      continue;
-    }
-    if (!co_await t.cas64(head_, pos, pos + k)) {
-      co_await t.compute(kContendedBackoff);
-      continue;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      for (;;) {  // producers may publish inner cells out of order
-        const std::uint64_t p = pos + i;
-        if (co_await t.load(cell_meta(p), 8) == p + 1) break;
-        co_await t.compute(kContendedBackoff);
-      }
-      out[got + i] = co_await load_cell(t, pos + i);
-    }
-    got += k;
+    got += c.n;
   }
   co_return got;
 }

@@ -21,7 +21,8 @@
 // single CAS on the shared tail (consumers likewise on the head). The
 // per-cell payload traffic is unchanged — the batch amortizes only the
 // contended index CAS, which is exactly the shared state the figures
-// measure.
+// measure. A run of one is the classic single-slot protocol, so the
+// batched attempts are the only ones this backend implements.
 
 #include "squeue/channel.hpp"
 #include "runtime/machine.hpp"
@@ -33,8 +34,6 @@ class SimBlfq : public Channel {
   /// `capacity` must be a power of two.
   SimBlfq(runtime::Machine& m, std::size_t capacity);
 
-  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) override;
-  sim::Co<RecvResult> try_recv(sim::SimThread t) override;
   sim::Co<SendManyResult> try_send_many(sim::SimThread t,
                                         std::span<const Msg> msgs) override;
   sim::Co<std::size_t> try_recv_many(sim::SimThread t,
@@ -56,6 +55,22 @@ class SimBlfq : public Channel {
   sim::Co<void> store_cell(sim::SimThread t, std::uint64_t pos,
                            const Msg& msg);
   sim::Co<Msg> load_cell(sim::SimThread t, std::uint64_t pos);
+
+  /// A run of cells claimed by one index CAS: positions [pos, pos + n).
+  struct Claim {
+    std::uint64_t pos = 0;
+    std::size_t n = 0;
+  };
+  /// Claim up to `max` ready cells at the shared `index` (tail for
+  /// producers, head for consumers). A cell at position p is ready when its
+  /// sequence reads p + lag: recycled (lag 0) for a producer, published
+  /// (lag 1) for a consumer. n == 0: not even one cell is ready (full /
+  /// empty). A run of one is exactly the single-slot Vyukov protocol.
+  sim::Co<Claim> claim(sim::SimThread t, Addr index, std::size_t max,
+                       std::uint64_t lag);
+  /// Wait until inner cell `pos` of a claimed run reads sequence `seq`.
+  sim::Co<void> await_inner(sim::SimThread t, std::uint64_t pos,
+                            std::uint64_t seq);
 
   static constexpr Addr kCellStride = 2 * kLineSize;
   /// Longest contiguous run one index CAS may claim.

@@ -69,24 +69,6 @@ sim::Co<void> SimCaf::transfer_reserved(sim::SimThread t,
   }
 }
 
-sim::Co<SendResult> SimCaf::try_send(sim::SimThread t, const Msg& msg) {
-  assert(msg.n == words_ && "SimCaf channels carry fixed-size frames");
-  // Device frame grant: no producer interleaving. Credits are granted
-  // atomically at frame-open, so the hold is bounded by the transfer.
-  co_await send_mu_.lock();
-  std::uint32_t granted = 0;
-  const CafDevice::Grant g =
-      co_await dev_open(t, msg.w[0], msg.qos, 1, &granted);
-  if (granted == 0) {
-    send_mu_.unlock();
-    co_return SendResult{g == CafDevice::Grant::kQuota ? SendStatus::kQuota
-                                                       : SendStatus::kFull};
-  }
-  co_await transfer_reserved(t, std::span<const Msg>(&msg, 1), 1, msg.qos);
-  send_mu_.unlock();
-  co_return SendResult{SendStatus::kOk};
-}
-
 sim::Co<SendManyResult> SimCaf::try_send_many(sim::SimThread t,
                                               std::span<const Msg> msgs) {
   SendManyResult r;
@@ -136,25 +118,6 @@ sim::Co<void> SimCaf::finish_frame(sim::SimThread t, Msg& msg) {
     }
     msg.w[i] = v;
   }
-}
-
-sim::Co<RecvResult> SimCaf::try_recv(sim::SimThread t) {
-  co_await recv_mu_.lock();  // device frame grant: no consumer interleaving
-  std::uint64_t v = 0;
-  QosClass cls = QosClass::kStandard;
-  const bool ok = co_await dev_deq(t, v, &cls);
-  if (!ok) {
-    recv_mu_.unlock();
-    co_return RecvResult{};  // empty — the Fig. 15 discovery register read
-  }
-  RecvResult r;
-  r.status = RecvStatus::kOk;
-  r.msg.n = words_;
-  r.msg.qos = cls;
-  r.msg.w[0] = v;
-  co_await finish_frame(t, r.msg);
-  recv_mu_.unlock();
-  co_return r;
 }
 
 sim::Co<std::size_t> SimCaf::try_recv_many(sim::SimThread t,

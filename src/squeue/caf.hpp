@@ -258,8 +258,6 @@ class SimCaf : public Channel {
         send_mu_(dev.machine().eq()),
         recv_mu_(dev.machine().eq()) {}
 
-  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) override;
-  sim::Co<RecvResult> try_recv(sim::SimThread t) override;
   sim::Co<SendManyResult> try_send_many(sim::SimThread t,
                                         std::span<const Msg> msgs) override;
   sim::Co<std::size_t> try_recv_many(sim::SimThread t,

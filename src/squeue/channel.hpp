@@ -9,30 +9,32 @@
 // cells, VL packs them into one pushed line, CAF transfers them one 64-bit
 // register value at a time through its queue-management device.
 //
-// The v2 core each backend implements is *non-blocking and typed*:
+// Each backend implements exactly two *non-blocking, typed* attempts over
+// std::span<Msg>:
 //
-//   try_send / try_recv       one-message attempts returning SendResult /
-//                             RecvResult — a refusal says *why* (ring/buffer
-//                             full vs per-SQI/per-class quota NACK vs empty),
-//                             so callers can shed, retry, or park on the
-//                             right futex.
-//   try_send_many/try_recv_many  batched attempts over std::span<Msg>.
-//                             Backends amortize their per-message device
-//                             cost: VL packs a run of lines under one
-//                             prodBuf quota acquisition and one port
-//                             transaction, CAF opens a multi-frame credit
-//                             grant once, ZMQ/BLFQ reserve a contiguous
-//                             ring run under one lock / one CAS claim. The
-//                             base-class fallback loops the single-message
-//                             core, so a backend that cannot batch is still
-//                             correct.
+//   try_send_many   accepts a prefix of the span and, when short, says why
+//                   it stopped (SendStatus: ring/buffer full vs per-SQI /
+//                   per-class quota NACK), so callers can shed, retry, or
+//                   park on the right futex.
+//   try_recv_many   fills a prefix of the span, stopping at the first
+//                   empty probe.
+//
+// Backends amortize their per-message device cost over the run: VL packs
+// a run of lines under one prodBuf quota acquisition and one port
+// transaction, CAF opens a multi-frame credit grant once, ZMQ/BLFQ reserve
+// a contiguous ring run under one lock / one CAS claim. A batch of one is
+// each backend's single-message protocol, so try_send / try_recv are
+// one-element wrappers — except VL's try_recv, whose single probe keeps a
+// sharer's demand armed where try_recv_many's lease releases it.
 //
 // Blocking send/recv/send_many/recv_many are thin wrappers over that core:
-// a retry loop around the try_* attempt plus a backend-directed blocking
-// policy (send_blocked/recv_blocked) — park on the backend's futex where
-// one exists (ZMQ rings, CAF credits, VL quota/space), poll where the paper
-// says the backend polls (BLFQ, the VL consumer's § III-B control-word
-// discovery, CAF empty dequeues).
+// a retry loop around the attempt plus a backend-directed blocking policy
+// (send_blocked/recv_blocked) — park on the backend's futex where one
+// exists (ZMQ rings, CAF credits), poll where the paper says the backend
+// polls (BLFQ, the VL consumer's § III-B control-word discovery, CAF empty
+// dequeues). send is a one-element send_many. VL replaces send_many
+// outright: its lines are staged once and only the push retries, parked
+// on the quota futex or the space credit gate.
 //
 // Wait-any/select over N channels lives in squeue/selector.hpp, built on
 // recv_wq() (the consumer-readiness futex, where the backend has one) and
@@ -81,7 +83,7 @@ struct Msg {
   }
 };
 
-/// Why a try_send refused. kFull is capacity back-pressure (ring at its
+/// Why a send attempt refused. kFull is capacity back-pressure (ring at its
 /// high-water mark, prodBuf out of slots, CAF queue budget exhausted):
 /// any drain may clear it. kQuota is a per-SQI or per-class quota NACK
 /// (isa::kVlNackQuota, CAF class caps): only *this* queue's (or class's)
@@ -114,41 +116,31 @@ class Channel {
 
   // --- v2 non-blocking core -------------------------------------------------
 
-  /// One-message non-blocking send attempt.
-  virtual sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) = 0;
-
-  /// One-message non-blocking receive attempt.
-  virtual sim::Co<RecvResult> try_recv(sim::SimThread t) = 0;
-
   /// Batched non-blocking send: accepts a prefix of `msgs` (possibly
-  /// empty). Backends override with their amortized fast path; this
-  /// fallback loops the single-message core.
+  /// empty) and, when short of the whole span, reports the refusal.
   virtual sim::Co<SendManyResult> try_send_many(sim::SimThread t,
-                                                std::span<const Msg> msgs) {
-    SendManyResult r;
-    for (const Msg& m : msgs) {
-      const SendResult s = co_await try_send(t, m);
-      if (!s.ok()) {
-        r.status = s.status;
-        co_return r;
-      }
-      ++r.sent;
-    }
-    co_return r;
-  }
+                                                std::span<const Msg> msgs) = 0;
 
   /// Batched non-blocking receive: fills a prefix of `out`, returns the
   /// count. Stops at the first empty probe.
   virtual sim::Co<std::size_t> try_recv_many(sim::SimThread t,
-                                             std::span<Msg> out) {
-    std::size_t got = 0;
-    for (Msg& slot : out) {
-      const RecvResult r = co_await try_recv(t);
-      if (!r.ok()) break;
-      slot = r.msg;
-      ++got;
-    }
-    co_return got;
+                                             std::span<Msg> out) = 0;
+
+  /// One-message send attempt: a one-element try_send_many.
+  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) {
+    const SendManyResult r =
+        co_await try_send_many(t, std::span<const Msg>(&msg, 1));
+    co_return SendResult{r.status};
+  }
+
+  /// One-message receive attempt: a one-element try_recv_many. Only VL
+  /// overrides it (a sharer's single probe keeps its demand armed).
+  virtual sim::Co<RecvResult> try_recv(sim::SimThread t) {
+    RecvResult r;
+    const std::size_t got =
+        co_await try_recv_many(t, std::span<Msg>(&r.msg, 1));
+    if (got == 1) r.status = RecvStatus::kOk;
+    co_return r;
   }
 
   /// Current queued-message estimate (device-resident backlog for VL —
@@ -171,29 +163,14 @@ class Channel {
   virtual bool reconfigure(sim::SimThread) { return false; }
 
   // --- blocking wrappers over the core -------------------------------------
-  // Virtual so instrumentation wrappers (LatencyChannel) can interpose, but
-  // every backend inherits these: the backend-specific part is only the
-  // blocking *policy* below.
+  // The receive side and send_many are virtual so instrumentation wrappers
+  // (LatencyChannel) can interpose; VL also replaces send_many with its
+  // stage-once/push-retry loop. Elsewhere the backend-specific part is only
+  // the blocking *policy* below.
 
-  /// Blocking send (applies the backend's back-pressure policy).
-  virtual sim::Co<void> send(sim::SimThread t, Msg msg) {
-    sim::EventQueue& eq = t.core->eq();
-    obs::TraceBuffer* const tb = eq.trace();
-    const std::uint32_t lane = obs::thread_tid(t.core->id(), t.tid);
-    if (tb) tb->begin(eq.now(), lane, "chan", "send");
-    BlockGates g;
-    for (;;) {
-      sample_send_gates(g, msg);  // futex protocol: epochs before the attempt
-      const SendResult r = co_await try_send(t, msg);
-      if (r.ok()) break;
-      if (tb)
-        tb->instant(eq.now(), lane, "chan",
-                    r.status == SendStatus::kQuota ? "nack_quota"
-                                                   : "nack_full",
-                    "qos", static_cast<std::uint64_t>(msg.qos));
-      co_await send_blocked(t, r.status, g, msg);
-    }
-    if (tb) tb->end(eq.now(), lane, "chan", "send");
+  /// Blocking send of one message: a one-element send_many.
+  sim::Co<void> send(sim::SimThread t, Msg msg) {
+    co_await send_many(t, std::span<const Msg>(&msg, 1));
   }
 
   /// Blocking receive of one message.
@@ -217,10 +194,7 @@ class Channel {
   /// the backend's fast path allows per lap and applying the blocking
   /// policy between laps.
   virtual sim::Co<void> send_many(sim::SimThread t, std::span<const Msg> msgs) {
-    sim::EventQueue& eq = t.core->eq();
-    obs::TraceBuffer* const tb = eq.trace();
-    const std::uint32_t lane = obs::thread_tid(t.core->id(), t.tid);
-    if (tb) tb->begin(eq.now(), lane, "chan", "send_many", "n", msgs.size());
+    const SendTrace trace(t, msgs.size());
     BlockGates g;
     std::size_t done = 0;
     while (done < msgs.size()) {
@@ -231,15 +205,11 @@ class Channel {
       // backend batching boundary, e.g. a CAF class-run end) retries
       // immediately.
       if (done < msgs.size() && r.status != SendStatus::kOk) {
-        if (tb)
-          tb->instant(eq.now(), lane, "chan",
-                      r.status == SendStatus::kQuota ? "nack_quota"
-                                                     : "nack_full",
-                      "qos", static_cast<std::uint64_t>(msgs[done].qos));
+        trace.nack(r.status, msgs[done].qos);
         co_await send_blocked(t, r.status, g, msgs[done]);
       }
     }
-    if (tb) tb->end(eq.now(), lane, "chan", "send_many");
+    trace.end();
   }
 
   /// Blocking batched receive: waits until at least `min_n` messages were
@@ -278,12 +248,37 @@ class Channel {
  protected:
   /// Wake epochs a blocking sender samples *before* its attempt, so a
   /// drain landing mid-attempt is never lost as a wakeup (the standard
-  /// futex gate protocol). `baton` is VL's counted-space-wake baton (see
-  /// VlChannel::send_blocked); other backends ignore it.
+  /// futex gate protocol).
   struct BlockGates {
     std::uint64_t full = 0;
     std::uint64_t quota = 0;
-    bool baton = false;
+  };
+
+  /// A blocking send's `chan/send_many` trace span (with its length `n`)
+  /// and one `nack_quota` / `nack_full` instant per refusal — shared by the
+  /// base send_many and VL's, so every backend's sends trace alike.
+  class SendTrace {
+   public:
+    SendTrace(sim::SimThread t, std::size_t n)
+        : eq_(t.core->eq()),
+          tb_(eq_.trace()),
+          lane_(obs::thread_tid(t.core->id(), t.tid)) {
+      if (tb_) tb_->begin(eq_.now(), lane_, "chan", "send_many", "n", n);
+    }
+    void nack(SendStatus why, QosClass qos) const {
+      if (tb_)
+        tb_->instant(eq_.now(), lane_, "chan",
+                     why == SendStatus::kQuota ? "nack_quota" : "nack_full",
+                     "qos", static_cast<std::uint64_t>(qos));
+    }
+    void end() const {
+      if (tb_) tb_->end(eq_.now(), lane_, "chan", "send_many");
+    }
+
+   private:
+    sim::EventQueue& eq_;
+    obs::TraceBuffer* const tb_;
+    const std::uint32_t lane_;
   };
 
   /// Default blocking-policy backoff for polling backends, and the

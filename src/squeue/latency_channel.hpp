@@ -12,12 +12,14 @@
 // The timestamp occupies one payload word, so wrapped messages may carry at
 // most 6 user dwords (the Fig. 10 line fits 7).
 //
-// The wrapper interposes on the whole Channel v2 surface: every call is
-// forwarded to the inner backend with stamped copies, so the backend's
-// batching fast paths and blocking (park/poll) policies stay in force.
-// Blocking sends stamp at call start, so producer-side blocking counts
-// toward the recorded latency — Little's-law pressure includes the time a
-// message waits for enqueue headroom.
+// The wrapper interposes on the batched attempts and the blocking
+// send_many/recv/recv_many (single sends and try_recv reach it as
+// one-element batches): every call is forwarded to the inner backend with
+// stamped copies, so the backend's batching fast paths and blocking
+// (park/poll) policies stay in force. Blocking sends stamp at call start,
+// so producer-side blocking counts toward the recorded latency —
+// Little's-law pressure includes the time a message waits for enqueue
+// headroom.
 
 #include <algorithm>
 #include <array>
@@ -33,16 +35,6 @@ class LatencyChannel : public Channel {
   /// (SystemConfig::ns_per_tick); pass 1.0 to record raw ticks.
   LatencyChannel(Channel& inner, sim::EventQueue& eq, double ns_per_tick)
       : inner_(inner), eq_(eq), ns_per_tick_(ns_per_tick) {}
-
-  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) override {
-    co_return co_await inner_.try_send(t, stamped(msg));
-  }
-
-  sim::Co<RecvResult> try_recv(sim::SimThread t) override {
-    RecvResult r = co_await inner_.try_recv(t);
-    if (r.ok()) unstamp(r.msg);
-    co_return r;
-  }
 
   sim::Co<SendManyResult> try_send_many(sim::SimThread t,
                                         std::span<const Msg> msgs) override {
@@ -70,10 +62,6 @@ class LatencyChannel : public Channel {
     const std::size_t got = co_await inner_.try_recv_many(t, out);
     for (std::size_t i = 0; i < got; ++i) unstamp(out[i]);
     co_return got;
-  }
-
-  sim::Co<void> send(sim::SimThread t, Msg msg) override {
-    co_await inner_.send(t, stamped(msg));
   }
 
   sim::Co<Msg> recv(sim::SimThread t) override {

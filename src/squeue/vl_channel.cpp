@@ -31,27 +31,33 @@ runtime::Consumer& VlChannel::consumer_for(sim::SimThread t) {
   return *it->second;
 }
 
-sim::Co<SendResult> VlChannel::try_send(sim::SimThread t, const Msg& msg) {
-  runtime::Producer& p = producer_for(t);
-  p.set_qos(msg.qos);  // endpoint class tag, carried in the frame's ctrl byte
-  const int rc = co_await p.try_enqueue_raw(
-      runtime::ElemSize::kDword,
-      std::span<const std::uint64_t>(msg.w.data(), msg.n));
-  co_return SendResult{rc == isa::kVlOk ? SendStatus::kOk : status_from(rc)};
+namespace {
+
+// Borrowed line views over a lap of at most `max` messages.
+std::vector<runtime::LineView> line_views(std::span<const Msg> msgs,
+                                          std::size_t max) {
+  msgs = msgs.first(std::min(msgs.size(), max));
+  std::vector<runtime::LineView> views;
+  views.reserve(msgs.size());
+  for (const Msg& m : msgs) views.push_back({m.w.data(), m.n, m.qos});
+  return views;
 }
+
+void fill(Msg& m, const runtime::Frame& f) {
+  m.n = static_cast<std::uint8_t>(f.elems.size());
+  m.qos = f.qos;
+  for (std::uint8_t i = 0; i < m.n; ++i) m.w[i] = f.elems[i];
+}
+
+}  // namespace
 
 sim::Co<SendManyResult> VlChannel::try_send_many(sim::SimThread t,
                                                  std::span<const Msg> msgs) {
   runtime::Producer& p = producer_for(t);
   SendManyResult r;
   while (r.sent < msgs.size()) {
-    std::vector<runtime::LineView> views;
-    const std::size_t lap = std::min<std::size_t>(msgs.size() - r.sent, 8);
-    views.reserve(lap);
-    for (std::size_t i = 0; i < lap; ++i) {
-      const Msg& m = msgs[r.sent + i];
-      views.push_back({m.w.data(), m.n, m.qos});
-    }
+    const std::vector<runtime::LineView> views =
+        line_views(msgs.subspan(r.sent), 8);
     const runtime::BurstResult b = co_await p.try_enqueue_burst(views);
     r.sent += b.accepted;
     if (b.rc != isa::kVlOk) {
@@ -67,22 +73,17 @@ sim::Co<void> VlChannel::send_many(sim::SimThread t,
   runtime::Machine& m = lib_.machine();
   runtime::Producer& p = producer_for(t);
   sim::WaitQueue& quota_wq = m.vl_quota_wq(q_.vlrd_id, q_.sqi);
+  const SendTrace trace(t, msgs.size());
   std::size_t done = 0;
   while (done < msgs.size()) {
-    std::vector<runtime::LineView> views;
-    const std::size_t lap =
-        std::min<std::size_t>(msgs.size() - done, buf_lines_);
-    views.reserve(lap);
-    for (std::size_t i = 0; i < lap; ++i) {
-      const Msg& msg = msgs[done + i];
-      views.push_back({msg.w.data(), msg.n, msg.qos});
-    }
     // Each lap's lines are written into the endpoint ring ONCE; only the
     // fused push retries after back-pressure. On a full-buffer NACK the
     // producer asks the machine's credit gate for the whole remaining
     // run, so one wake carries an n-slot grant and the re-push re-injects
     // the run in one transaction — batched injection stays batched under
     // saturation instead of degrading to slot-at-a-time wakes.
+    const std::vector<runtime::LineView> views =
+        line_views(msgs.subspan(done), buf_lines_);
     const std::size_t staged = co_await p.stage_burst(views);
     std::size_t pushed = 0;
     std::size_t held = 0;  // space credits granted for the remaining run
@@ -93,6 +94,7 @@ sim::Co<void> VlChannel::send_many(sim::SimThread t,
       pushed += b.accepted;
       held -= std::min(held, b.accepted);  // consumed with the slots
       if (pushed == staged) break;
+      trace.nack(status_from(b.rc), msgs[done + pushed].qos);
       if (b.rc == isa::kVlNackQuota) {
         // Only this SQI draining helps; slot credits we cannot convert go
         // back to the gate for producers of other SQIs.
@@ -111,17 +113,16 @@ sim::Co<void> VlChannel::send_many(sim::SimThread t,
     }
     done += staged;
   }
+  trace.end();
 }
 
 sim::Co<RecvResult> VlChannel::try_recv(sim::SimThread t) {
-  runtime::Consumer& c = consumer_for(t);
-  auto got = co_await c.try_dequeue_once();
-  if (!got) co_return RecvResult{};
+  const auto got = co_await consumer_for(t).try_dequeue_once();
   RecvResult r;
-  r.status = RecvStatus::kOk;
-  r.msg.n = static_cast<std::uint8_t>(got->elems.size());
-  r.msg.qos = got->qos;
-  for (std::uint8_t i = 0; i < r.msg.n; ++i) r.msg.w[i] = got->elems[i];
+  if (got) {
+    r.status = RecvStatus::kOk;
+    fill(r.msg, *got);
+  }
   co_return r;
 }
 
@@ -139,12 +140,6 @@ sim::Co<std::size_t> VlChannel::try_recv_many(sim::SimThread t,
   if (sole && out.size() > 1)
     co_await c.arm_ahead(std::min<std::size_t>(out.size(), buf_lines_));
   std::size_t got = 0;
-  auto take = [&out, &got](const runtime::Frame& f) {
-    Msg& m = out[got++];
-    m.n = static_cast<std::uint8_t>(f.elems.size());
-    m.qos = f.qos;
-    for (std::uint8_t i = 0; i < m.n; ++i) m.w[i] = f.elems[i];
-  };
   while (got < out.size()) {
     auto f = co_await c.try_dequeue_once();
     // A sharer registers demand one line at a time, and its in-flight
@@ -159,7 +154,7 @@ sim::Co<std::size_t> VlChannel::try_recv_many(sim::SimThread t,
       f = co_await c.try_dequeue_once();
     }
     if (!f) break;
-    take(*f);
+    fill(out[got++], *f);
   }
   if (!sole) {
     c.release_ahead();
@@ -168,39 +163,10 @@ sim::Co<std::size_t> VlChannel::try_recv_many(sim::SimThread t,
     while (got < out.size()) {
       auto f = co_await c.sweep_landed();
       if (!f) break;
-      take(*f);
+      fill(out[got++], *f);
     }
   }
   co_return got;
-}
-
-void VlChannel::sample_send_gates(BlockGates& g, const Msg&) {
-  // The space side is a credit gate (credits persist — no epoch needed);
-  // only the per-SQI quota futex needs the lost-wake gate.
-  g.quota = lib_.machine().vl_quota_wq(q_.vlrd_id, q_.sqi).epoch();
-}
-
-sim::Co<void> VlChannel::send_blocked(sim::SimThread t, SendStatus why,
-                                      BlockGates& g, const Msg&) {
-  runtime::Machine& m = lib_.machine();
-  if (why == SendStatus::kQuota) {
-    // Our SQI's (or class's) quota is exhausted: only this SQI draining
-    // helps, so park on its futex. A slot credit we were granted but
-    // cannot convert goes back to the gate — some other SQI's
-    // space-parked producer may be able to take the slot we cannot.
-    if (g.baton) {
-      g.baton = false;
-      m.vl_space().release(1);
-    }
-    co_await t.park(m.vl_quota_wq(q_.vlrd_id, q_.sqi), g.quota);
-  } else {
-    // Buffer full: wait for a freed-slot credit from the routing device,
-    // donating the core instead of spinning a backoff timer. (A held
-    // credit that still NACKed was stale and is dropped.)
-    g.baton = false;
-    co_await t.acquire_credits(m.vl_space(), 1);
-    g.baton = true;
-  }
 }
 
 bool VlChannel::reconfigure(sim::SimThread t) {

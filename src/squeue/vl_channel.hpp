@@ -10,10 +10,14 @@
 // one prodBuf/quota acquisition (Producer::try_enqueue_burst); on a
 // single-consumer channel try_recv_many registers demand for a run of
 // lines at once (Consumer::arm_ahead) so a queued burst injects into
-// consecutive lines and drains by pure local control-word polls. Blocking
-// sends park on the machine's VL futexes split by NACK reason — the
-// per-(device,SQI) quota queue vs the global buffer-space queue, with the
-// counted-wake baton pass-back (see sim/README.md).
+// consecutive lines and drains by pure local control-word polls.
+//
+// Blocking sends — single ones included, as one-element runs — go through
+// send_many: a lap's lines are staged once and keep their data through a
+// NACK, as the paper's line does until the device copies it, so only the
+// fused push retries. A quota NACK parks on the per-(device,SQI) quota
+// futex; a full buffer waits on the machine's space credit gate for the
+// whole unpushed run (see sim/README.md).
 
 #include <map>
 #include <memory>
@@ -30,7 +34,9 @@ class VlChannel : public Channel {
             std::size_t buf_lines = 8)
       : lib_(lib), q_(lib.open(name)), buf_lines_(buf_lines) {}
 
-  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) override;
+  /// A sharer's single probe keeps its demand registration armed across
+  /// calls (try_recv_many's lease would release it), so a blocking recv
+  /// polls one standing registration.
   sim::Co<RecvResult> try_recv(sim::SimThread t) override;
   sim::Co<SendManyResult> try_send_many(sim::SimThread t,
                                         std::span<const Msg> msgs) override;
@@ -40,7 +46,8 @@ class VlChannel : public Channel {
   /// Blocking batched send, specialised over the split stage/push surface:
   /// each lap of lines is written into the endpoint ring ONCE, and only
   /// the fused push is retried after a back-pressure park — a woken
-  /// producer re-pays one port transaction, not the payload stores.
+  /// producer re-pays one port transaction, not the payload stores. Traces
+  /// like Channel::send_many (span plus one instant per NACK).
   sim::Co<void> send_many(sim::SimThread t, std::span<const Msg> msgs) override;
 
   /// Message lines queued in the routing device for this channel's SQI
@@ -60,14 +67,9 @@ class VlChannel : public Channel {
   /// lost or duplicated.
   bool reconfigure(sim::SimThread t) override;
 
- protected:
-  void sample_send_gates(BlockGates& g, const Msg&) override;
-  sim::Co<void> send_blocked(sim::SimThread t, SendStatus why,
-                             BlockGates& g, const Msg&) override;
+ private:
   // recv_blocked: inherited poll at kPollBackoff — the § III-B control-word
   // discovery interval; the VLRD does not wake consumers.
-
- private:
   using Key = std::pair<CoreId, int>;  // (core, tid)
   runtime::Producer& producer_for(sim::SimThread t);
   runtime::Consumer& consumer_for(sim::SimThread t);

@@ -91,40 +91,6 @@ sim::Co<Msg> SimZmq::load_cell(sim::SimThread t, std::uint64_t pos) {
   co_return msg;
 }
 
-sim::Co<SendResult> SimZmq::try_send(sim::SimThread t, const Msg& msg) {
-  co_await t.compute(overhead_);  // socket/envelope software path
-  co_await lock(t);
-  const std::uint64_t head = co_await t.load(meta_, 8);
-  const std::uint64_t tail = co_await t.load(meta_ + 8, 8);
-  if (tail - head >= hwm_) {
-    co_await unlock(t);
-    co_return SendResult{SendStatus::kFull};  // at the high-water mark
-  }
-  co_await store_cell(t, tail, msg);
-  co_await t.store(meta_ + 8, tail + 1, 8);
-  co_await unlock(t);
-  not_empty_.wake_one();
-  co_return SendResult{SendStatus::kOk};
-}
-
-sim::Co<RecvResult> SimZmq::try_recv(sim::SimThread t) {
-  co_await t.compute(overhead_);
-  co_await lock(t);
-  const std::uint64_t head = co_await t.load(meta_, 8);
-  const std::uint64_t tail = co_await t.load(meta_ + 8, 8);
-  if (head == tail) {
-    co_await unlock(t);
-    co_return RecvResult{};  // empty
-  }
-  RecvResult r;
-  r.status = RecvStatus::kOk;
-  r.msg = co_await load_cell(t, head);
-  co_await t.store(meta_, head + 1, 8);
-  co_await unlock(t);
-  not_full_.wake_one();
-  co_return r;
-}
-
 sim::Co<SendManyResult> SimZmq::try_send_many(sim::SimThread t,
                                               std::span<const Msg> msgs) {
   SendManyResult r;

@@ -36,8 +36,6 @@ class SimZmq : public Channel {
   /// `hwm` (power of two) is the high-water mark / ring capacity.
   SimZmq(runtime::Machine& m, std::size_t hwm, Tick sw_overhead = 250);
 
-  sim::Co<SendResult> try_send(sim::SimThread t, const Msg& msg) override;
-  sim::Co<RecvResult> try_recv(sim::SimThread t) override;
   sim::Co<SendManyResult> try_send_many(sim::SimThread t,
                                         std::span<const Msg> msgs) override;
   sim::Co<std::size_t> try_recv_many(sim::SimThread t,

@@ -141,7 +141,7 @@ Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
     if (t->sharded != mesh)
       throw std::invalid_argument(
           "replay: trace '" + t->scenario + "' was recorded " +
-          (t->sharded ? "on a shard mesh; replay it with run_sharded"
+          (t->sharded ? "on a shard mesh; replay it on shards"
                       : "on a single node; replay it without shards"));
     if (t->producers != static_cast<std::uint32_t>(spec.producers) ||
         t->tenants != spec.tenants.size())

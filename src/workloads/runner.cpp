@@ -169,38 +169,10 @@ InterferenceResult run_stream_interference(squeue::Backend backend,
                          &out.pingpong_msgs));
   sim::spawn(interf_pong(*fwd, *bwd, m.thread_on(1)));
 
-  // Inline STREAM with a completion hook: run_stream() drives the event
-  // loop itself, so replicate its body with the stop flag at the end.
-  const std::size_t per_thread = sp.lines_per_array / sp.threads;
-  const Addr a = m.alloc(sp.lines_per_array * kLineSize);
-  const Addr b = m.alloc(sp.lines_per_array * kLineSize);
-  const Addr c = m.alloc(sp.lines_per_array * kLineSize);
-
   const auto mem0 = m.mem().stats();
   const Tick t0 = m.now();
-  int remaining = sp.threads;
   Tick stream_end = 0;
-  for (int th = 0; th < sp.threads; ++th) {
-    const Addr off = th * per_thread * kLineSize;
-    sim::spawn([](SimThread t, Addr a, Addr b, Addr c, std::size_t lines,
-                  int iters, int* remaining, bool* stop,
-                  Tick* end) -> Co<void> {
-      for (int it = 0; it < iters; ++it) {
-        for (std::size_t i = 0; i < lines; ++i) {
-          const Addr o = i * kLineSize;
-          const std::uint64_t vb = co_await t.load(b + o, 8);
-          const std::uint64_t vc = co_await t.load(c + o, 8);
-          co_await t.compute(1);
-          co_await t.store(a + o, vb + 3 * vc, 8);
-        }
-      }
-      if (--*remaining == 0) {
-        *stop = true;
-        *end = t.core->eq().now();
-      }
-    }(m.thread_on(sp.first_core + static_cast<CoreId>(th)), a + off, b + off,
-      c + off, per_thread, sp.iters, &remaining, &stop, &stream_end));
-  }
+  spawn_stream(m, sp, &stop, &stream_end);
   m.run();
 
   out.stream.workload = "STREAM+pingpong";

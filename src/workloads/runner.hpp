@@ -119,6 +119,12 @@ struct StreamParams {
   CoreId first_core = 2;  // leave cores 0/1 for the ping-pong pair
 };
 WorkloadResult run_stream(runtime::Machine& m, const StreamParams& p);
+/// Spawn STREAM's triad threads over three fresh arrays without running
+/// the machine. When the last thread finishes, `*done` turns true and
+/// `*end` receives the tick (either may be null) — the hook a co-scheduled
+/// workload stops on.
+void spawn_stream(runtime::Machine& m, const StreamParams& p,
+                  bool* done = nullptr, Tick* end = nullptr);
 
 /// Fig. 14 composite: STREAM co-scheduled with a ping-pong pair using the
 /// given backend (or STREAM alone when `with_pingpong` is false).

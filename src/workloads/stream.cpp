@@ -2,6 +2,8 @@
 // the LLC, used by Fig. 14 to measure how much each message-channel
 // implementation perturbs a memory-bound bystander.
 
+#include <memory>
+
 #include "workloads/runner.hpp"
 
 namespace vl::workloads {
@@ -11,8 +13,15 @@ namespace {
 using sim::Co;
 using sim::SimThread;
 
+// Completion state shared by one STREAM run's threads.
+struct Finish {
+  int remaining;
+  bool* done;
+  Tick* end;
+};
+
 Co<void> triad(SimThread t, Addr a, Addr b, Addr c, std::size_t lines,
-               int iters) {
+               int iters, std::shared_ptr<Finish> fin) {
   for (int it = 0; it < iters; ++it) {
     for (std::size_t i = 0; i < lines; ++i) {
       const Addr off = i * kLineSize;
@@ -22,23 +31,32 @@ Co<void> triad(SimThread t, Addr a, Addr b, Addr c, std::size_t lines,
       co_await t.store(a + off, vb + 3 * vc, 8);
     }
   }
+  if (--fin->remaining == 0) {
+    if (fin->done) *fin->done = true;
+    if (fin->end) *fin->end = t.core->eq().now();
+  }
 }
 
 }  // namespace
 
-WorkloadResult run_stream(runtime::Machine& m, const StreamParams& p) {
+void spawn_stream(runtime::Machine& m, const StreamParams& p, bool* done,
+                  Tick* end) {
   const std::size_t per_thread = p.lines_per_array / p.threads;
   const Addr a = m.alloc(p.lines_per_array * kLineSize);
   const Addr b = m.alloc(p.lines_per_array * kLineSize);
   const Addr c = m.alloc(p.lines_per_array * kLineSize);
-
-  const auto mem0 = m.mem().stats();
-  const Tick t0 = m.now();
+  auto fin = std::make_shared<Finish>(Finish{p.threads, done, end});
   for (int th = 0; th < p.threads; ++th) {
     const Addr off = th * per_thread * kLineSize;
     sim::spawn(triad(m.thread_on(p.first_core + static_cast<CoreId>(th)),
-                     a + off, b + off, c + off, per_thread, p.iters));
+                     a + off, b + off, c + off, per_thread, p.iters, fin));
   }
+}
+
+WorkloadResult run_stream(runtime::Machine& m, const StreamParams& p) {
+  const auto mem0 = m.mem().stats();
+  const Tick t0 = m.now();
+  spawn_stream(m, p);
   m.run();
 
   WorkloadResult r;

@@ -114,6 +114,32 @@ TEST(ObsDeterminism, SupervisedRunByteIdenticalWithHooksOnAndOff) {
   }
 }
 
+TEST(ObsDeterminism, VlSendsTraceSpansAndQuotaNacks) {
+  // VL's blocking sends (batched and single alike) trace like every other
+  // backend's: a chan/send_many span per call, carrying its length, and a
+  // nack_quota instant per quota refusal — on the supervised bulk flood the
+  // bulk producers run into their per-class quota all the time.
+  const ScenarioSpec* spec = find_scenario("qos-adversarial-bulk");
+  ASSERT_NE(spec, nullptr);
+  obs::Tracer tr;
+  obs::RunHooks hooks;
+  hooks.tracer = &tr;
+  const EngineResult traced = run_spec(*spec, Backend::kVl, 42, 1, &hooks);
+  EXPECT_EQ(traced.csv(), run_spec(*spec, Backend::kVl, 42).csv());
+
+  std::size_t spans = 0, nacks = 0;
+  const std::string send_many = "send_many", nack_quota = "nack_quota";
+  for (const auto& ev : tr.buffer(0).events()) {
+    if (ev.ph == 'B' && ev.name == send_many) {
+      ++spans;
+      EXPECT_GE(ev.arg, 1u) << "send_many span without its length";
+    }
+    if (ev.ph == 'i' && ev.name == nack_quota) ++nacks;
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_GT(nacks, 0u);
+}
+
 TEST(ObsDeterminism, ShardedEngineDigestsIdenticalWithObsOnAndOff) {
   const ScenarioSpec* spec = find_scenario("shard-diurnal");
   ASSERT_NE(spec, nullptr);

@@ -107,13 +107,15 @@ TEST_P(ChannelV2, TrySendReportsFull) {
 
 // Batched send_many/recv_many must deliver exactly the multiset a
 // single-message loop delivers — same payloads, nothing lost, nothing
-// duplicated — under a concurrent M:1 load.
+// duplicated — under a concurrent M:1 load, and under M:2 on a ring small
+// enough to wrap: there batched claims meet out-of-order recycles, the
+// case BLFQ's inner-cell recheck exists for.
 constexpr int kProds = 4, kPer = 40;
 
 TEST_P(ChannelV2, BatchMatchesSingleDeliveryMultiset) {
-  auto deliver = [&](bool batched) {
+  auto deliver = [&](bool batched, std::size_t capacity, int consumers) {
     SetUp();  // fresh machine per flavour
-    auto ch = factory->make(batched ? "b1" : "b2", 256);
+    auto ch = factory->make(batched ? "b1" : "b2", capacity);
     for (int p = 0; p < kProds; ++p) {
       spawn([](Channel& q, SimThread t, int base, bool batched) -> Co<void> {
         std::vector<Msg> msgs;
@@ -132,31 +134,44 @@ TEST_P(ChannelV2, BatchMatchesSingleDeliveryMultiset) {
       }(*ch, machine->thread_on(static_cast<CoreId>(p)), p, batched));
     }
     auto out = std::make_shared<std::vector<std::uint64_t>>();
-    spawn([](Channel& q, SimThread t, std::shared_ptr<std::vector<std::uint64_t>> out,
-             bool batched) -> Co<void> {
-      int remaining = kProds * kPer;
-      std::vector<Msg> buf(8);
-      while (remaining > 0) {
-        if (batched) {
-          const std::size_t got =
-              co_await q.recv_many(t, std::span<Msg>(buf.data(), buf.size()));
-          for (std::size_t k = 0; k < got; ++k) out->push_back(buf[k].w[0]);
-          remaining -= static_cast<int>(got);
-        } else {
-          out->push_back(co_await q.recv1(t));
-          --remaining;
+    // Each consumer takes an equal share, so none blocks on a drained
+    // channel. The second consumer shares core 3 with a producer: its
+    // context switches stall a claimed run mid-way, so the other side
+    // completes cells out of order.
+    for (int c = 0; c < consumers; ++c) {
+      spawn([](Channel& q, SimThread t,
+               std::shared_ptr<std::vector<std::uint64_t>> out, bool batched,
+               std::size_t remaining) -> Co<void> {
+        std::vector<Msg> buf(8);
+        while (remaining > 0) {
+          if (batched) {
+            const std::size_t got = co_await q.recv_many(
+                t, std::span<Msg>(buf.data(),
+                                  std::min(buf.size(), remaining)));
+            for (std::size_t k = 0; k < got; ++k) out->push_back(buf[k].w[0]);
+            remaining -= got;
+          } else {
+            out->push_back(co_await q.recv1(t));
+            --remaining;
+          }
         }
-      }
-    }(*ch, machine->thread_on(7), out, batched));
+      }(*ch, machine->thread_on(static_cast<CoreId>(7 - 4 * c)), out, batched,
+        static_cast<std::size_t>(kProds * kPer / consumers)));
+    }
     machine->run();
     std::sort(out->begin(), out->end());
     return *out;
   };
 
-  const auto batched = deliver(true);
-  const auto single = deliver(false);
-  ASSERT_EQ(batched.size(), static_cast<std::size_t>(kProds * kPer));
-  EXPECT_EQ(batched, single);  // identical delivered multiset
+  for (const auto& [capacity, consumers] :
+       {std::pair<std::size_t, int>{256, 1}, {8, 2}}) {
+    const auto batched = deliver(true, capacity, consumers);
+    const auto single = deliver(false, capacity, consumers);
+    ASSERT_EQ(batched.size(), static_cast<std::size_t>(kProds * kPer))
+        << "capacity " << capacity << ", " << consumers << " consumer(s)";
+    EXPECT_EQ(batched, single)  // identical delivered multiset
+        << "capacity " << capacity << ", " << consumers << " consumer(s)";
+  }
 }
 
 // Msg::qos must survive the data path on EVERY backend — through the

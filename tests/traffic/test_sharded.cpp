@@ -268,6 +268,17 @@ TEST(ShardedEngine, RejectsUnshardableSpecs) {
   ShardedOptions too_many = small_opts(ok.consumers + 1);
   EXPECT_THROW(run_sharded(ok, Backend::kBlfq, 1, too_many),
                std::invalid_argument);
+
+  // The lifecycle plane is run-wide state that threaded shards would race
+  // on, so churn and reconfig stay single-node.
+  for (const char* churn :
+       {"leave@30000:tenant=bulk;join@45000:tenant=bulk", "reconfig@20000"}) {
+    ScenarioSpec churned = ok;
+    churned.lifecycle = replay::LifecycleSpec::parse(churn);
+    EXPECT_THROW(run_sharded(churned, Backend::kVl, 1, small_opts(2)),
+                 std::invalid_argument)
+        << churn;
+  }
 }
 
 TEST(ShardedEngine, RebalanceMovesTenantsUnderSkew) {
