@@ -98,9 +98,7 @@ const RunSpec kDefaultMatrix[] = {
     {"qos-adversarial-bulk", Backend::kVl, 0, 0, false, true},
     // Collective workloads on the bsp::World layer ("wl-" prefix drives the
     // workload registry instead of a traffic scenario, at internal scale
-    // 4x). The JSON baselines were measured on the pre-bsp hand-rolled
-    // kernels, and CI gates these cells at 10% (--cell-tolerance): the BSP
-    // rewrite must not cost more than 10% simulation work per message.
+    // 4x).
     {"wl-allreduce", Backend::kVl},
     {"wl-halo", Backend::kVl},
     {"wl-scatter-gather", Backend::kVl},

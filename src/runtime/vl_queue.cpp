@@ -88,11 +88,13 @@ sim::Co<int> Producer::try_enqueue_raw(ElemSize sz,
   const auto n = static_cast<std::uint8_t>(elems.size());
   const auto width = static_cast<unsigned>(elem_bytes(sz));
 
-  // Fill the data region high-to-low, then arm the control word (Fig. 10),
-  // its reserved byte carrying the endpoint's service class.
+  // Fill the data region high-to-low, then arm the control word (Fig. 10).
+  // Element-size frames carry the standard class; classed traffic goes
+  // through the staged-burst path, which tags each line itself.
   for (std::uint8_t i = 0; i < n; ++i)
     co_await t_.store(line + elem_offset(sz, i, n), elems[i], width);
-  co_await t_.store(line + kCtrlOffset, pack_ctrl(sz, n, qos_), 2);
+  co_await t_.store(line + kCtrlOffset,
+                    pack_ctrl(sz, n, QosClass::kStandard), 2);
 
   // Fused select+push: under core oversubscription, issuing them as two
   // port transactions lets the sibling thread's ops interleave and the

@@ -152,11 +152,6 @@ class Producer {
   /// per-op), so migration is just a rebind.
   void migrate(sim::SimThread to) { t_ = to; }
 
-  /// Service class stamped into every subsequent frame's control region
-  /// (the endpoint-level QoS knob, like a socket priority).
-  void set_qos(QosClass c) { qos_ = c; }
-  QosClass qos() const { return qos_; }
-
   std::uint64_t retries() const { return retries_; }
   Addr endpoint_va() const { return dev_va_; }
   sim::SimThread thread() const { return t_; }
@@ -172,7 +167,6 @@ class Producer {
   Addr dev_va_ = 0;
   std::uint32_t vlrd_id_ = 0;  ///< Routing device (quota futex key)…
   Sqi sqi_ = 0;                ///< …and SQI within it.
-  QosClass qos_ = QosClass::kStandard;
   std::vector<Addr> buf_;  // user-space lines (circular)
   std::size_t cur_ = 0;
   std::vector<Addr> staged_;  ///< Ring lines of the current staged burst.

@@ -7,17 +7,19 @@ namespace vl::sim {
 
 EventQueue::EventQueue() : ring_(kRingSize) {}
 
-void EventQueue::schedule_at(Tick when, Fn fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  ++size_;
-  if (when - now_ < kRingSize) {
-    Bucket& b = ring_[when & kRingMask];
-    b.evs.push_back(Ev{seq_++, std::move(fn)});
-    set_bit(when & kRingMask);
-  } else {
-    far_.push_back(FarEv{when, seq_++, std::move(fn)});
-    std::push_heap(far_.begin(), far_.end(), FarAfter{});
-  }
+EventQueue::Node* EventQueue::refill() {
+  assert(!free_);
+  Node* chunk =
+      chunks_.emplace_back(std::make_unique<Node[]>(kChunkNodes)).get();
+  for (std::size_t i = 0; i + 1 < kChunkNodes; ++i)
+    chunk[i].next = &chunk[i + 1];
+  free_ = chunk;
+  return free_;
+}
+
+void EventQueue::push_far(Node* n) {
+  far_.push_back(n);
+  std::push_heap(far_.begin(), far_.end(), FarAfter{});
 }
 
 std::optional<Tick> EventQueue::next_ring_tick() const {
@@ -40,61 +42,68 @@ std::optional<Tick> EventQueue::next_ring_tick() const {
 }
 
 void EventQueue::migrate_far(Tick t) {
-  if (far_.empty() || far_.front().when != t) return;
+  if (far_.empty() || far_.front()->when != t) return;
   Bucket& b = ring_[t & kRingMask];
-  std::vector<Ev> incoming;  // seq-ascending: heap pops (when, seq) ordered
-  while (!far_.empty() && far_.front().when == t) {
+  // Heap pops come out seq-ascending, as does the bucket: insert each
+  // popped node after the bucket nodes that precede it, preserving global
+  // FIFO-per-tick order.
+  Node** link = &b.head;
+  Node* n = nullptr;
+  while (!far_.empty() && far_.front()->when == t) {
     std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-    incoming.push_back(Ev{far_.back().seq, std::move(far_.back().fn)});
+    n = far_.back();
     far_.pop_back();
+    while (*link && (*link)->seq < n->seq) link = &(*link)->next;
+    n->next = *link;
+    *link = n;
+    link = &n->next;
   }
-  if (b.evs.empty()) {
-    b.evs = std::move(incoming);
-  } else {
-    // Both runs are seq-ascending; merge to preserve global FIFO-per-tick.
-    std::vector<Ev> merged;
-    merged.reserve(b.evs.size() + incoming.size());
-    std::size_t i = 0, j = 0;
-    while (i < b.evs.size() && j < incoming.size())
-      merged.push_back(b.evs[i].seq < incoming[j].seq
-                           ? std::move(b.evs[i++])
-                           : std::move(incoming[j++]));
-    while (i < b.evs.size()) merged.push_back(std::move(b.evs[i++]));
-    while (j < incoming.size()) merged.push_back(std::move(incoming[j++]));
-    b.evs = std::move(merged);
-  }
-  b.cursor = 0;
+  if (!n->next) b.tail = n;
   set_bit(t & kRingMask);
 }
 
-std::optional<Tick> EventQueue::next_event_tick() {
-  Bucket& cur = ring_[now_ & kRingMask];
-  if (cur.cursor < cur.evs.size()) return now_;
-  if (!cur.evs.empty()) {
-    cur.evs.clear();  // retains capacity for reuse
-    cur.cursor = 0;
-    clear_bit(now_ & kRingMask);
-  }
+std::optional<Tick> EventQueue::peek_next_tick() const {
+  if (ring_[now_ & kRingMask].head) return now_;
   const auto ring_next = next_ring_tick();
-  if (!far_.empty() && (!ring_next || far_.front().when < *ring_next))
-    return far_.front().when;
+  if (!far_.empty() && (!ring_next || far_.front()->when < *ring_next))
+    return far_.front()->when;
   return ring_next;
 }
 
-bool EventQueue::step() {
-  const auto t = next_event_tick();
-  if (!t) return false;
-  if (*t != now_) {
-    now_ = *t;
-    migrate_far(*t);
+void EventQueue::fire(Tick t) {
+  if (t != now_) {
+    now_ = t;
+    migrate_far(t);
   }
-  Bucket& b = ring_[now_ & kRingMask];
-  assert(b.cursor < b.evs.size());
-  EventFn fn = std::move(b.evs[b.cursor].fn);
-  ++b.cursor;
+  Bucket& b = ring_[t & kRingMask];
+  Node* n = b.head;
+  assert(n);
+  b.head = n->next;
+  if (!b.head) {
+    b.tail = nullptr;
+    clear_bit(t & kRingMask);
+  }
   --size_;
   ++executed_;
-  fn();
+  // Return the node to the pool even if the callable throws. The node is
+  // off the bucket, so anything the callable schedules (its own tick
+  // included) lands in other nodes.
+  struct Recycle {
+    EventQueue& q;
+    Node* n;
+    ~Recycle() {
+      n->fn.reset();
+      n->next = q.free_;
+      q.free_ = n;
+    }
+  } recycle{*this, n};
+  n->fn();
+}
+
+bool EventQueue::step() {
+  const auto t = peek_next_tick();
+  if (!t) return false;
+  fire(*t);
   return true;
 }
 
@@ -106,9 +115,9 @@ std::uint64_t EventQueue::run(std::uint64_t limit) {
 
 void EventQueue::run_until(Tick t) {
   for (;;) {
-    const auto next = next_event_tick();
+    const auto next = peek_next_tick();
     if (!next || *next > t) break;
-    step();
+    fire(*next);
   }
   if (now_ < t) now_ = t;
 }

@@ -12,15 +12,21 @@
 //     lambdas, device completions) fits inline, so the steady-state event
 //     loop performs no heap allocation per event. Oversized callables fall
 //     back to the heap transparently.
+//   * Each event lives in a pooled node {next, seq, when, EventFn}. The
+//     queue owns its pool (a free list refilled in fixed chunks), so every
+//     shard of a ShardedSim has its own arena and stepping threads share
+//     nothing. schedule_at builds the callable directly in its node, and
+//     firing invokes it in place before the node returns to the free list:
+//     a callable is constructed once and never relocated.
 //   * Near-future events (the overwhelming majority: issue costs, cache
 //     latencies, backoffs, context switches) land in a calendar ring of
-//     per-tick buckets covering [now, now + 8192). Scheduling and firing
-//     are O(1); a two-level occupancy bitmap skips empty ticks in O(1).
-//     Bucket vectors are recycled, so their capacity amortises to zero
-//     allocations.
-//   * Events beyond the ring horizon sit in a small binary min-heap and
-//     are merged (by sequence number, preserving global FIFO-per-tick
-//     order) into their bucket when the clock reaches them.
+//     per-tick buckets covering [now, now + 8192); a bucket is a
+//     seq-ascending FIFO list of nodes. Scheduling and firing are O(1); a
+//     one-level occupancy bitmap (128 words, scanned with countr_zero)
+//     finds the next non-empty tick.
+//   * Events beyond the ring horizon sit in a small binary min-heap of
+//     nodes and are merged (by sequence number, preserving global
+//     FIFO-per-tick order) into their bucket when the clock reaches them.
 
 #include <array>
 #include <cassert>
@@ -53,14 +59,7 @@ class EventFn {
                                  std::is_invocable_v<D&>,
                              int> = 0>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      vt_ = &kInlineVt<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      vt_ = &kHeapVt<D>;
-    }
+    emplace(std::forward<F>(f));
   }
 
   EventFn(EventFn&& o) noexcept { steal(o); }
@@ -80,6 +79,34 @@ class EventFn {
   void operator()() {
     assert(vt_ && "invoking an empty EventFn");
     vt_->invoke(buf_);
+  }
+
+  /// Build `f` in this (empty) EventFn's storage. An EventFn argument is
+  /// moved in rather than wrapped.
+  template <class F, class D = std::decay_t<F>>
+  void emplace(F&& f) {
+    static_assert(std::is_same_v<D, EventFn> || std::is_invocable_v<D&>,
+                  "an event must be callable with no arguments");
+    assert(!vt_ && "emplace into a non-empty EventFn");
+    if constexpr (std::is_same_v<D, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "move the EventFn in");
+      steal(f);
+    } else if constexpr (sizeof(D) <= kInlineSize &&
+                         alignof(D) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      vt_ = &kInlineVt<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      vt_ = &kHeapVt<D>;
+    }
+  }
+
+  /// Destroy the held callable (if any), leaving this EventFn empty.
+  void reset() noexcept {
+    if (vt_) {
+      vt_->destroy(buf_);
+      vt_ = nullptr;
+    }
   }
 
  private:
@@ -116,12 +143,6 @@ class EventFn {
       vt_ = std::exchange(o.vt_, nullptr);
     }
   }
-  void reset() noexcept {
-    if (vt_) {
-      vt_->destroy(buf_);
-      vt_ = nullptr;
-    }
-  }
 
   const VTable* vt_ = nullptr;
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
@@ -129,17 +150,37 @@ class EventFn {
 
 class EventQueue {
  public:
-  using Fn = EventFn;
-
   EventQueue();
+  // Nodes point into the queue's own pool, so a queue never moves.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   Tick now() const { return now_; }
 
-  /// Schedule fn at absolute tick `when` (must be >= now()).
-  void schedule_at(Tick when, Fn fn);
+  /// Schedule callable `f` at absolute tick `when` (must be >= now()). The
+  /// callable is constructed directly in a pooled node.
+  template <class F>
+  void schedule_at(Tick when, F&& f) {
+    assert(when >= now_ && "cannot schedule into the past");
+    // Build in the free list's head before unlinking it, so a throwing
+    // constructor leaves the pool intact.
+    Node* n = free_ ? free_ : refill();
+    n->fn.emplace(std::forward<F>(f));
+    free_ = n->next;
+    n->seq = seq_++;
+    n->when = when;
+    ++size_;
+    if (when - now_ < kRingSize)
+      append(ring_[when & kRingMask], n);
+    else
+      push_far(n);
+  }
 
-  /// Schedule fn `delta` ticks from now.
-  void schedule_in(Tick delta, Fn fn) { schedule_at(now_ + delta, std::move(fn)); }
+  /// Schedule `f` `delta` ticks from now.
+  template <class F>
+  void schedule_in(Tick delta, F&& f) {
+    schedule_at(now_ + delta, std::forward<F>(f));
+  }
 
   /// Run one event; returns false when the queue is empty.
   bool step();
@@ -156,9 +197,8 @@ class EventQueue {
   std::size_t pending() const { return size_; }
 
   /// Earliest tick (>= now()) holding a pending event, or nullopt when the
-  /// queue is empty. Fires nothing (it may retire an internally drained
-  /// bucket) — the sharded stepper's safe-horizon probe (sim/sharded.hpp).
-  std::optional<Tick> peek_next_tick() { return next_event_tick(); }
+  /// queue is empty. Fires nothing.
+  std::optional<Tick> peek_next_tick() const;
 
   /// Total events executed over the queue's lifetime (throughput metric).
   std::uint64_t executed() const { return executed_; }
@@ -180,23 +220,22 @@ class EventQueue {
   static constexpr std::size_t kRingBits = 13;
   static constexpr std::size_t kRingSize = std::size_t{1} << kRingBits;
   static constexpr std::size_t kRingMask = kRingSize - 1;
+  // Nodes added to the pool each time its free list runs dry.
+  static constexpr std::size_t kChunkNodes = 256;
 
-  struct Ev {
-    std::uint64_t seq;
-    EventFn fn;
+  struct Node {
+    Node* next = nullptr;  // bucket FIFO or free list
+    std::uint64_t seq = 0;
+    Tick when = 0;
+    EventFn fn;  // empty while the node is free
   };
-  struct Bucket {
-    std::vector<Ev> evs;       // seq-ascending (append order)
-    std::size_t cursor = 0;    // next event to fire
-  };
-  struct FarEv {
-    Tick when;
-    std::uint64_t seq;
-    EventFn fn;
+  struct Bucket {  // seq-ascending FIFO; head == nullptr when empty
+    Node* head = nullptr;
+    Node* tail = nullptr;
   };
   struct FarAfter {  // min-heap ordering on (when, seq)
-    bool operator()(const FarEv& a, const FarEv& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    bool operator()(const Node* a, const Node* b) const {
+      return a->when != b->when ? a->when > b->when : a->seq > b->seq;
     }
   };
 
@@ -205,13 +244,25 @@ class EventQueue {
     bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
 
-  /// Earliest tick with a pending event, retiring the current bucket if it
-  /// has been fully drained. nullopt when nothing is pending anywhere.
-  std::optional<Tick> next_event_tick();
+  void append(Bucket& b, Node* n) {
+    n->next = nullptr;
+    if (b.tail)
+      b.tail->next = n;
+    else
+      b.head = n;
+    b.tail = n;
+    set_bit(n->when & kRingMask);
+  }
+
+  /// Add a chunk of nodes to the free list and return its head.
+  Node* refill();
+  void push_far(Node* n);
   /// Bitmap scan for the earliest occupied ring tick at or after now_.
   std::optional<Tick> next_ring_tick() const;
   /// Merge far-heap events due at tick `t` into its bucket, by seq.
   void migrate_far(Tick t);
+  /// Advance to tick `t` (the next event tick) and fire its head event.
+  void fire(Tick t);
 
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
@@ -219,7 +270,10 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::vector<Bucket> ring_;
   std::array<std::uint64_t, kRingSize / 64> bits_{};
-  std::vector<FarEv> far_;  // binary heap under FarAfter
+  std::vector<Node*> far_;  // binary heap under FarAfter
+  Node* free_ = nullptr;
+  // Node storage; destroying a chunk resets any callable still pending.
+  std::vector<std::unique_ptr<Node[]>> chunks_;
 #ifndef VL_OBS_NO_TRACE
   obs::TraceBuffer* trace_ = nullptr;
 #endif

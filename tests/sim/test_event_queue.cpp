@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -151,6 +154,128 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomLoad) {
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 0; i < fired.size(); ++i)
     ASSERT_EQ(fired[i], expected[i].second) << "at event " << i;
+}
+
+// Lifetime tests: every callable holds a shared_ptr token, so the token's
+// use_count() shows how many callables are still alive. A leak leaves it
+// high; a double destroy drops it early (and trips ASan).
+
+/// A callable bigger than EventFn's inline buffer, so it spills to the heap.
+struct Spilled {
+  std::shared_ptr<int> token;
+  std::array<char, 128> pad{};
+  void operator()() const {}
+};
+static_assert(sizeof(Spilled) > EventFn::kInlineSize);
+
+TEST(EventQueue, PendingCallablesAreDestroyedOnceWithTheQueue) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue eq;
+    eq.schedule_at(10, [token] {});            // inline, ring
+    eq.schedule_at(20, Spilled{token});        // heap-spilled, ring
+    eq.schedule_at(100'000, [token] {});       // inline, far heap
+    eq.schedule_at(200'000, Spilled{token});   // heap-spilled, far heap
+    EXPECT_EQ(token.use_count(), 5);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, FiredCallableIsDestroyedBeforeTheNextEvent) {
+  auto token = std::make_shared<int>(0);
+  EventQueue eq;
+  std::vector<long> seen;
+  auto check = [&] { seen.push_back(token.use_count()); };
+  eq.schedule_at(10, [token] {});
+  eq.schedule_at(10, check);  // same tick, right behind it
+  eq.schedule_at(20, Spilled{token});
+  eq.schedule_at(21, check);
+  eq.schedule_at(100'000, [token] {});
+  eq.schedule_at(100'000, check);
+  eq.schedule_at(200'000, Spilled{token});
+  eq.schedule_at(200'001, check);
+  // Pending callables: the two checks do not hold the token.
+  EXPECT_EQ(token.use_count(), 5);
+  eq.run();
+  EXPECT_EQ(seen, (std::vector<long>{4, 3, 2, 1}));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, EventFnArgumentIsMovedIn) {
+  auto token = std::make_shared<int>(0);
+  EventQueue eq;
+  int fired = 0;
+  EventFn fn = [token, &fired] { ++fired; };
+  eq.schedule_at(5, std::move(fn));
+  EXPECT_FALSE(fn);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(token.use_count(), 2);
+  eq.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, SchedulingIntoTheFiringTickRunsAfterQueuedEvents) {
+  EventQueue eq;
+  std::vector<int> order;
+  eq.schedule_at(10, [&] {
+    order.push_back(1);
+    eq.schedule_in(0, [&] { order.push_back(4); });
+  });
+  eq.schedule_at(10, [&] { order.push_back(2); });
+  eq.schedule_at(10, [&] { order.push_back(3); });
+  eq.schedule_at(11, [&] { order.push_back(5); });
+  eq.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, SchedulingIntoAFarMergedTickRunsAfterQueuedEvents) {
+  // Tick 10'000 is beyond the ring horizon at now = 0, so A and B take the
+  // far heap; C and D are scheduled once it is near. A's same-tick event E
+  // must land behind all four after the merge.
+  EventQueue eq;
+  std::vector<char> order;
+  eq.schedule_at(10'000, [&] {
+    order.push_back('A');
+    eq.schedule_in(0, [&] { order.push_back('E'); });
+  });
+  eq.schedule_at(10'000, [&] { order.push_back('B'); });
+  eq.schedule_at(5'000, [&] {
+    eq.schedule_at(10'000, [&] { order.push_back('C'); });
+    eq.schedule_at(10'000, [&] { order.push_back('D'); });
+  });
+  eq.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'D', 'E'}));
+
+  // The same when the merge alone filled the bucket.
+  order.clear();
+  const Tick far = eq.now() + 20'000;
+  eq.schedule_at(far, [&] {
+    order.push_back('A');
+    eq.schedule_in(0, [&] { order.push_back('C'); });
+  });
+  eq.schedule_at(far, [&] { order.push_back('B'); });
+  eq.schedule_at(far + 1, [&] { order.push_back('D'); });
+  eq.run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C', 'D'}));
+}
+
+TEST(EventQueue, ThrowingEventLeavesTheQueueRunnable) {
+  auto token = std::make_shared<int>(0);
+  EventQueue eq;
+  std::vector<int> order;
+  eq.schedule_at(10, [&] { order.push_back(1); });
+  eq.schedule_at(20, [token] { throw std::runtime_error("boom"); });
+  eq.schedule_at(20, [&] { order.push_back(2); });
+  eq.schedule_at(100'000, [&] { order.push_back(3); });
+  EXPECT_THROW(eq.run(), std::runtime_error);
+  EXPECT_EQ(eq.now(), 20u);
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(token.use_count(), 1);  // the thrower was destroyed anyway
+  eq.schedule_in(0, [&] { order.push_back(4); });
+  EXPECT_EQ(eq.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_TRUE(eq.empty());
 }
 
 }  // namespace

@@ -2,19 +2,16 @@
 """Perf-regression gate over BENCH_sim.json.
 
 Compares a freshly produced bench_sim_throughput snapshot against the
-committed baseline and fails when any (scenario, backend) cell regressed by
-more than the tolerance on events-per-delivered-message — the simulator
-kernel's figure of merit. ev/msg is fully deterministic for a fixed seed
-and scale (unlike wall-clock, which CI runners make useless), so the gate
-has no flake margin to eat: a regression is a real behavioural change.
+committed baseline. Every baseline (scenario, backend) cell must reproduce
+its deterministic fields — events, sim_ticks, delivered and lat_p99 — bit
+for bit: a fixed seed and scale fix them (unlike wall-clock, which CI
+runners make useless), so any difference is a real behavioural change,
+including a kernel change that reorders same-tick events without moving
+ev/msg. Commit the fresh snapshot as the new baseline when a change is
+intentional.
 
-    bench_gate.py BASELINE CURRENT [--tolerance 0.15]
-                  [--cell-tolerance "CELL=FRACTION" ...]
+    bench_gate.py BASELINE CURRENT
                   [--expect-gain "CELL[@FIELD]=FRACTION" ...]
-
---cell-tolerance tightens (or loosens) the tolerance for one cell, e.g.
-"wl-allreduce/VL64=0.10" holds the bsp-layer collective rewrites to within
-10% of the hand-rolled kernels' ev/msg they replaced.
 
 --expect-gain pins a variant's advantage: the named cell — e.g.
 "incast-burst(b8)/VL64" (batched injection), "shard-diurnal(s8)/VL64"
@@ -26,17 +23,18 @@ events_per_msg; "@lat_p99" compares latency-class p99). This is how CI
 enforces "batching/sharding/supervision must keep paying", not just "must
 not regress".
 
-Exit status: 0 pass, 1 regression / unmet gain (or a baseline cell missing
+Exit status: 0 pass, 1 mismatch / unmet gain (or a baseline cell missing
 from the current run), 2 bad invocation/input.
-
-Improvements beyond tolerance are reported but pass — commit the fresh
-snapshot as the new baseline when they are intentional.
 """
 
 import argparse
 import json
 import re
 import sys
+
+
+# Fields a fixed seed and scale reproduce bit for bit (wall-clock ones vary).
+EXACT_FIELDS = ("events", "sim_ticks", "delivered", "lat_p99")
 
 
 def bail(msg):
@@ -67,12 +65,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="allowed fractional ev/msg increase (default 0.15)")
-    ap.add_argument("--cell-tolerance", action="append", default=[],
-                    metavar="CELL=FRACTION",
-                    help='per-cell tolerance override, e.g. '
-                         '"wl-allreduce/VL64=0.10"')
     ap.add_argument("--expect-gain", action="append", default=[],
                     metavar="CELL=FRACTION",
                     help='batched cell (e.g. "incast-burst(b8)/VL64") that '
@@ -83,40 +75,26 @@ def main():
     base = load_results(args.baseline)
     cur = load_results(args.current)
 
-    cell_tol = {}
-    for spec in args.cell_tolerance:
-        cell, _, frac_s = spec.partition("=")
-        scenario, _, backend = cell.partition("/")
-        if not frac_s or not backend:
-            bail(f"bad --cell-tolerance '{spec}' (want CELL=FRACTION)")
-        cell_tol[(scenario, backend)] = float(frac_s)
-    for key in cell_tol:
-        if key not in base:
-            bail(f"--cell-tolerance cell {key[0]}/{key[1]} not in baseline")
-
     failures = []
     width = max(len(f"{s} / {b}") for s, b in base) + 2
-    print(f"{'cell':<{width}} {'base':>9} {'now':>9} {'delta':>8}")
+    print(f"{'cell':<{width}} {'events':>10} {'ev/msg':>8}")
     for key in sorted(base):
         cell = f"{key[0]} / {key[1]}"
-        bval = base[key]["events_per_msg"]
         if key not in cur:
             failures.append(f"{cell}: missing from current run")
-            print(f"{cell:<{width}} {bval:>9.2f} {'-':>9} {'GONE':>8}")
+            print(f"{cell:<{width}} {'GONE':>10}")
             continue
-        cval = cur[key]["events_per_msg"]
-        delta = (cval - bval) / bval if bval else 0.0
-        tol = cell_tol.get(key, args.tolerance)
-        flag = ""
-        if delta > tol:
-            failures.append(
-                f"{cell}: ev/msg {bval:.2f} -> {cval:.2f} "
-                f"(+{delta:.1%} > {tol:.0%})")
-            flag = "  << REGRESSION"
-        elif delta < -tol:
-            flag = "  (improved; consider refreshing the baseline)"
-        print(f"{cell:<{width}} {bval:>9.2f} {cval:>9.2f} "
-              f"{delta:>+7.1%}{flag}")
+        moved = []
+        for field in EXACT_FIELDS:
+            bval, cval = base[key].get(field), cur[key].get(field)
+            if bval is None or cval is None:
+                moved.append(f"{field} missing")
+            elif bval != cval:
+                moved.append(f"{field} {bval:.15g} -> {cval:.15g}")
+        failures.extend(f"{cell}: {m}" for m in moved)
+        print(f"{cell:<{width}} {cur[key].get('events', 0):>10.0f} "
+              f"{cur[key].get('events_per_msg', 0):>8.2f}"
+              f"{'  << MOVED' if moved else ''}")
     for key in sorted(set(cur) - set(base)):
         print(f"{key[0]} / {key[1]}: new cell (no baseline), skipped")
 
