@@ -19,6 +19,7 @@
 // scenarios of delivered Mmsgs/s and of simulated ticks — the Fig.-style
 // scaling view over the whole preset suite.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -87,8 +88,10 @@ void print_usage() {
                "            or 'rand:7' — overrides the preset's schedule\n"
                "  --no-supervisor  disable the closed-loop QoS supervisor\n"
                "            on presets that enable it (ablation baseline)\n"
-               "  --assert-slo CLASS=PCT  exit non-zero unless CLASS's SLO\n"
-               "            attainment is >= PCT in every cell (CI gate),\n"
+               "  --assert-slo CLASS=PCT  exit 3 unless CLASS's SLO\n"
+               "            attainment is >= PCT in every cell that has it\n"
+               "            and some cell has it (CI gate); an unknown class\n"
+               "            or a PCT outside [0, 100] exits 2,\n"
                "            e.g. --assert-slo latency=90\n"
                "  --record FILE  tap the engine send boundary and save the\n"
                "            per-message trace (.csv or binary by extension);\n"
@@ -328,7 +331,27 @@ int main(int argc, char** argv) {
       return 2;
     }
     slo_class = assert_slo.substr(0, eq);
-    slo_threshold = std::strtod(assert_slo.c_str() + eq + 1, nullptr);
+    bool known = false;
+    for (std::size_t c = 0; c < vl::kQosClasses; ++c)
+      known |= slo_class == to_string(static_cast<vl::QosClass>(c));
+    if (!known) {
+      std::fprintf(stderr,
+                   "--assert-slo: unknown class '%s' (standard, latency, "
+                   "bulk)\n",
+                   slo_class.c_str());
+      return 2;
+    }
+    const char* pct = assert_slo.c_str() + eq + 1;
+    char* end = nullptr;
+    slo_threshold = std::strtod(pct, &end);
+    if (end == pct || *end != '\0' || !std::isfinite(slo_threshold) ||
+        slo_threshold < 0.0 || slo_threshold > 100.0) {
+      std::fprintf(stderr,
+                   "--assert-slo: threshold '%s' is not a percentage in "
+                   "[0, 100]\n",
+                   pct);
+      return 2;
+    }
   }
 
   std::vector<std::string> scenarios;
@@ -407,6 +430,10 @@ int main(int argc, char** argv) {
   }
 
   if (has_flag(argc, argv, "--sweep")) {
+    if (!slo_class.empty()) {
+      std::fprintf(stderr, "--assert-slo checks single runs, not --sweep\n");
+      return 2;
+    }
     const std::vector<int> scales =
         parse_scales(arg_value(argc, argv, "--scales", "1,2"));
     if (scales.empty()) {
@@ -472,6 +499,7 @@ int main(int argc, char** argv) {
   if (!record_path.empty()) hooks.recorder = &recorder;
 
   bool slo_ok = true;
+  bool slo_seen = false;  // Some cell reported the asserted class.
   bool conserved = true;  // --churn zero-loss check
   std::string metrics_json;  // Accumulated `runs` array body.
   bool header_done = false;
@@ -505,6 +533,7 @@ int main(int argc, char** argv) {
       if (!slo_class.empty()) {
         for (const auto& c : r.metrics.by_class()) {
           if (to_string(c.cls) != slo_class || !c.slo_delivered) continue;
+          slo_seen = true;
           const double att = 100.0 * static_cast<double>(c.slo_within) /
                              static_cast<double>(c.slo_delivered);
           std::fprintf(stderr, "assert-slo: %s %s %s=%.2f%% (need %.2f%%)\n",
@@ -565,6 +594,13 @@ int main(int argc, char** argv) {
   if (!slo_ok) {
     std::fprintf(stderr, "assert-slo: FAILED (attainment below %.2f%%)\n",
                  slo_threshold);
+    return 3;
+  }
+  if (!slo_class.empty() && !slo_seen) {
+    std::fprintf(stderr,
+                 "assert-slo: FAILED (no cell delivered SLO traffic of class "
+                 "%s)\n",
+                 slo_class.c_str());
     return 3;
   }
   if (!conserved) {

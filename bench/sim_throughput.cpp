@@ -1,17 +1,17 @@
-// Simulator kernel throughput benchmark: drives traffic-scenario presets
-// across queue backends and reports, per run,
+// Simulator kernel ledger: drives traffic-scenario presets across queue
+// backends and reports, per run, deterministic figures only —
 //
 //   * executed kernel events (EventQueue::executed delta) — the cost the
 //     park/wake + run-queue overhaul attacks: blocked threads that poll
 //     burn O(pollers) events per tick, parked threads burn zero;
-//   * host wall-clock time, and the derived events/sec (host throughput of
-//     the event loop) and simulated Mticks/sec (how much simulated time a
-//     host second buys);
+//   * simulated ticks to the last fired event, delivered messages and the
+//     latency-class (or aggregate) p99;
 //   * events per delivered message — the figure of merit for the kernel
 //     (lower = less simulation work per unit of useful traffic).
 //
-// Results are emitted both as an aligned table and as BENCH_sim.json so CI
-// can archive the perf trajectory across commits.
+// Results are emitted both as an aligned table and as BENCH_sim.json, which
+// reproduces bit for bit, so tools/bench_gate.py holds every cell exactly.
+// Host timing lives in bench/vlbench, which calibrates and repeats it.
 //
 //   sim_throughput                         # default preset matrix
 //   sim_throughput --list                  # presets + registered workloads
@@ -21,7 +21,6 @@
 //       --faults 'stall@40000+20000:every=1' --no-supervisor
 //   sim_throughput --out build/BENCH_sim.json
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -126,8 +125,7 @@ bool is_replay_row(const std::string& scenario) {
 struct Row {
   std::string scenario, backend;
   std::uint64_t events = 0, ticks = 0, delivered = 0, lat_p99 = 0;
-  double wall_ms = 0.0, events_per_sec = 0.0, mticks_per_sec = 0.0,
-         events_per_msg = 0.0;
+  double events_per_msg = 0.0;
   std::string digest;  ///< wl- rows: deterministic run digest for CI smoke.
 };
 
@@ -141,16 +139,7 @@ std::uint64_t latency_p99(const vl::traffic::ScenarioMetrics& m) {
   return all.percentile(99);
 }
 
-Row finish_row(Row row, std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
-  row.wall_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-          t1 - t0)
-          .count();
-  const double secs = row.wall_ms * 1e-3;
-  row.events_per_sec = secs > 0 ? static_cast<double>(row.events) / secs : 0;
-  row.mticks_per_sec =
-      secs > 0 ? static_cast<double>(row.ticks) / secs / 1e6 : 0;
+Row finish_row(Row row) {
   row.events_per_msg =
       row.delivered
           ? static_cast<double>(row.events) / static_cast<double>(row.delivered)
@@ -164,9 +153,7 @@ Row run_workload_row(const std::string& scenario, Backend backend,
   vl::workloads::RunConfig rc = vl::workloads::default_config(name);
   rc.backend = backend;
   rc.scale = 4 * scale;  // baselines were measured at workload scale 4
-  const auto t0 = std::chrono::steady_clock::now();
   const vl::workloads::WorkloadResult r = vl::workloads::run(name, rc);
-  const auto t1 = std::chrono::steady_clock::now();
 
   Row row;
   row.scenario = scenario;
@@ -176,7 +163,7 @@ Row run_workload_row(const std::string& scenario, Backend backend,
   row.delivered = r.messages;
   row.lat_p99 = 0;
   row.digest = r.digest();
-  return finish_row(row, t0, t1);
+  return finish_row(row);
 }
 
 /// Record the base preset's post-shed send stream in memory, then re-run
@@ -199,10 +186,8 @@ Row run_replay_row(const std::string& scenario, Backend backend,
   vl::traffic::ScenarioSpec rspec = *vl::traffic::find_scenario(base);
   rspec.supervisor = false;
   rspec.replay = &trace;
-  const auto t0 = std::chrono::steady_clock::now();
   const vl::traffic::EngineResult r =
       vl::traffic::run_spec(rspec, backend, seed, scale);
-  const auto t1 = std::chrono::steady_clock::now();
   if (r.metrics.total_delivered() != recorded.metrics.total_delivered()) {
     std::fprintf(
         stderr, "FAIL: %s/%s replay delivered %llu != recorded %llu\n",
@@ -219,7 +204,7 @@ Row run_replay_row(const std::string& scenario, Backend backend,
   row.ticks = r.metrics.ticks;
   row.delivered = r.metrics.total_delivered();
   row.lat_p99 = latency_p99(r.metrics);
-  return finish_row(row, t0, t1);
+  return finish_row(row);
 }
 
 Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
@@ -239,7 +224,6 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
   vl::obs::RunHooks hooks;
   hooks.timeline = &tl;
   const vl::obs::RunHooks* obs = timeline ? &hooks : nullptr;
-  const auto t0 = std::chrono::steady_clock::now();
   vl::traffic::EngineResult r;
   if (shards > 0) {
     vl::traffic::ShardedOptions opts;
@@ -251,7 +235,6 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
                                       backend, seed, scale)
               : vl::traffic::run_spec(spec, backend, seed, scale, obs);
   }
-  const auto t1 = std::chrono::steady_clock::now();
 
   Row row;
   // Batched/sharded/timeline cells are their own (scenario, backend) key in
@@ -269,7 +252,7 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
   row.ticks = r.metrics.ticks;
   row.delivered = r.metrics.total_delivered();
   row.lat_p99 = latency_p99(r.metrics);
-  return finish_row(row, t0, t1);
+  return finish_row(row);
 }
 
 void write_json(const char* path, const std::vector<Row>& rows,
@@ -289,15 +272,12 @@ void write_json(const char* path, const std::vector<Row>& rows,
         f,
         "    {\"scenario\": \"%s\", \"backend\": \"%s\", "
         "\"events\": %llu, \"sim_ticks\": %llu, \"delivered\": %llu, "
-        "\"lat_p99\": %llu, "
-        "\"wall_ms\": %.3f, \"events_per_sec\": %.0f, "
-        "\"sim_mticks_per_sec\": %.3f, \"events_per_msg\": %.2f}%s\n",
+        "\"lat_p99\": %llu, \"events_per_msg\": %.2f}%s\n",
         r.scenario.c_str(), r.backend.c_str(),
         static_cast<unsigned long long>(r.events),
         static_cast<unsigned long long>(r.ticks),
         static_cast<unsigned long long>(r.delivered),
-        static_cast<unsigned long long>(r.lat_p99), r.wall_ms,
-        r.events_per_sec, r.mticks_per_sec, r.events_per_msg,
+        static_cast<unsigned long long>(r.lat_p99), r.events_per_msg,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -392,7 +372,7 @@ int main(int argc, char** argv) {
   }
 
   vl::bench::print_header("sim_throughput",
-                          "kernel events & host throughput per scenario");
+                          "kernel events per scenario (deterministic)");
   std::vector<Row> rows;
   bool replay_fail = false;
   for (const RunSpec& rs : matrix)
@@ -401,15 +381,12 @@ int main(int argc, char** argv) {
                            &replay_fail));
 
   vl::TextTable tt({"scenario", "backend", "events", "sim_ticks", "delivered",
-                    "lat_p99", "ev/msg", "wall_ms", "events/s", "Mticks/s"});
+                    "lat_p99", "ev/msg"});
   for (const Row& r : rows)
     tt.add_row({r.scenario, r.backend, std::to_string(r.events),
                 std::to_string(r.ticks), std::to_string(r.delivered),
                 std::to_string(r.lat_p99),
-                vl::TextTable::num(r.events_per_msg, 1),
-                vl::TextTable::num(r.wall_ms, 1),
-                vl::TextTable::num(r.events_per_sec, 0),
-                vl::TextTable::num(r.mticks_per_sec, 2)});
+                vl::TextTable::num(r.events_per_msg, 1)});
   std::printf("%s\n", tt.render().c_str());
 
   write_json(out, rows, seed, scale);

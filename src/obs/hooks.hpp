@@ -14,9 +14,9 @@ class TraceRecorder;
 namespace vl::obs {
 
 struct RunHooks {
-  /// Sampled every `sample_every` ticks (single node) or at every
-  /// lookahead barrier (shard mesh), plus one final cumulative sample
-  /// at end of run. Series are registered by the engine.
+  /// Sampled every `sample_every` ticks (an epoch clock, on one node or a
+  /// shard mesh), plus one final cumulative sample on the last fired
+  /// tick. Series are registered by the engine.
   Timeline* timeline = nullptr;
   Tick sample_every = 10000;
 

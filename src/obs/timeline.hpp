@@ -10,9 +10,8 @@
 // The sampler never touches the event queue: it neither schedules events
 // nor consumes (tick, seq) numbers, so a sampled run replays the exact
 // event sequence of an unsampled one. The engine calls sample() from
-// outside the data path — a single node from an external stepping loop
-// between events, a shard mesh from the lookahead barrier
-// (which is already a global synchronization point).
+// outside the data path: a sim::ShardedSim epoch clock, which runs between
+// events with every shard at the sample tick.
 //
 // Export is long format — epoch,tick,series,value — one row per
 // (epoch, series), because downstream tools (pandas, gnuplot, the PR-8

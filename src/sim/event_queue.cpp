@@ -85,6 +85,7 @@ void EventQueue::fire(Tick t) {
   }
   --size_;
   ++executed_;
+  last_fired_ = t;
   // Return the node to the pool even if the callable throws. The node is
   // off the bucket, so anything the callable schedules (its own tick
   // included) lands in other nodes.

@@ -189,8 +189,8 @@ class EventQueue {
   /// Returns the number of events executed.
   std::uint64_t run(std::uint64_t limit = UINT64_MAX);
 
-  /// Run until simulated time reaches `t` (events at t still fire) or the
-  /// queue drains.
+  /// Fire every event at or before `t`, then leave now() at `t` — past the
+  /// last event if the queue drained first (last_fired() stays on it).
   void run_until(Tick t);
 
   bool empty() const { return size_ == 0; }
@@ -202,6 +202,8 @@ class EventQueue {
 
   /// Total events executed over the queue's lifetime (throughput metric).
   std::uint64_t executed() const { return executed_; }
+  /// Tick of the most recently fired event (0 before the first).
+  Tick last_fired() const { return last_fired_; }
 
 #ifndef VL_OBS_NO_TRACE
   /// Trace sink for everything running on this queue's timeline (SimThread
@@ -265,6 +267,7 @@ class EventQueue {
   void fire(Tick t);
 
   Tick now_ = 0;
+  Tick last_fired_ = 0;
   std::uint64_t seq_ = 0;
   std::size_t size_ = 0;
   std::uint64_t executed_ = 0;

@@ -82,9 +82,7 @@ struct ShardedSim::Pool {
 // ---------------------------------------------------------------------------
 
 ShardedSim::ShardedSim(Tick lookahead, int threads)
-    : lookahead_(lookahead), threads_(threads < 1 ? 1 : threads) {
-  assert(lookahead_ >= 1 && "lookahead of 0 has no safe horizon");
-}
+    : lookahead_(lookahead), threads_(threads < 1 ? 1 : threads) {}
 
 ShardedSim::~ShardedSim() = default;
 
@@ -113,6 +111,7 @@ bool ShardedSim::can_post(int src, int dst) {
 }
 
 void ShardedSim::post(int src, int dst, EventFn deliver) {
+  assert(lookahead_ != kNoLinks && "post() on a shard without links");
   Shard& s = shards_[static_cast<std::size_t>(src)];
   // Latency spike: extra >= 0 keeps arrival >= now + lookahead, so the
   // exchange's safe-horizon invariant holds unchanged.
@@ -173,38 +172,70 @@ void ShardedSim::step_all(Tick horizon) {
       pool_ = std::make_unique<Pool>(
           *this, std::min(threads_, shards()));
     pool_->step(horizon);
+  } else if (horizon == kDrain) {
+    for (Shard& s : shards_) s.eq->run();
   } else {
     for (Shard& s : shards_) s.eq->run_until(horizon);
   }
 }
 
+std::optional<Tick> ShardedSim::next_event_tick() const {
+  std::optional<Tick> t_min;
+  for (const Shard& s : shards_) {
+    const auto t = s.eq->peek_next_tick();
+    if (t && (!t_min || *t < *t_min)) t_min = t;
+  }
+  return t_min;
+}
+
+Tick ShardedSim::next_clock() const {
+  Tick b = kDrain;
+  for (const Clock& c : clocks_) b = std::min(b, c.next);
+  return b;
+}
+
+void ShardedSim::run_clocks(Tick b, bool done) {
+  for (Clock& c : clocks_) {
+    if (c.next != b) continue;
+    c.next += c.period;
+    step_all(b);
+    if (done && posts_pending() == 0 && !next_event_tick())
+      continue;  // finished: no clock runs after the queues drain
+    c.fn(b);
+  }
+}
+
 void ShardedSim::run(BarrierHook hook) {
   assert(shards() > 0 && "run() with no shards");
+  assert((lookahead_ != kNoLinks || shards() == 1) &&
+         "linked shards need a lookahead of at least one tick");
   for (;;) {
     exchange();
     const bool done = hook ? hook() : true;
     // Earliest pending event anywhere fixes the epoch's safe horizon.
-    std::optional<Tick> t_min;
-    for (Shard& s : shards_) {
-      const auto t = s.eq->peek_next_tick();
-      if (t && (!t_min || *t < *t_min)) t_min = t;
-    }
+    std::optional<Tick> t_min = next_event_tick();
     if (!t_min) {
-      if (posts_pending() == 0) {
-        // Nothing pending anywhere, nothing in flight: finished. A hook
-        // still reporting incomplete here is a workload bug (it had its
-        // chance to schedule more events this barrier and didn't).
-        assert(done && "queues drained with the hook reporting incomplete");
-        (void)done;
-        break;
-      }
-      continue;  // exchange the stragglers, then re-probe
+      // Nothing pending, nothing in flight (the exchange drained every
+      // outbox): finished. A hook still reporting incomplete here is a
+      // workload bug (it had its chance to schedule more events and didn't).
+      assert(done && "queues drained with the hook reporting incomplete");
+      break;
     }
-    const Tick horizon = *t_min + lookahead_ - 1;
+    // Boundaries in the idle gap before the earliest event go first: a
+    // clock may schedule work there, which moves the window's start.
+    while (next_clock() < *t_min) {
+      run_clocks(next_clock(), done);
+      t_min = next_event_tick();
+    }
+    const Tick horizon =
+        lookahead_ == kNoLinks ? next_clock() : *t_min + lookahead_ - 1;
     const std::uint32_t barrier_tid = 0;
     if (trace_)
       trace_->begin(*t_min, barrier_tid, "shard", "epoch", "epoch",
                     stats_.epochs);
+    // Boundaries inside the window split its stepping, never its exchange.
+    while (!clocks_.empty() && next_clock() <= horizon)
+      run_clocks(next_clock(), done);
     step_all(horizon);
     if (trace_) trace_->end(horizon, barrier_tid, "shard", "epoch");
     ++stats_.epochs;
@@ -218,12 +249,6 @@ ShardedStats ShardedSim::stats() const {
     s.partition_stalls += sh.partition_stalls;
   }
   return s;
-}
-
-std::uint64_t ShardedSim::executed() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.eq->executed();
-  return n;
 }
 
 }  // namespace vl::sim

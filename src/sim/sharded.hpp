@@ -32,12 +32,17 @@
 // (run_until() fast-forwards now_ over gaps), so a diurnal trough advances
 // in one epoch instead of thousands of empty ones.
 //
+// A lone shard (kNoLinks) runs each epoch to its next clock boundary or to
+// the drain. Epoch clocks (add_clock) split a window's stepping, never its
+// exchange; src/sim/README.md states their contract.
+//
 // Links apply back-pressure through a bounded in-flight window: can_post()
 // refuses once `link_window` posts from src->dst accumulate in the current
 // epoch, and the sender retries after a backoff (its shard keeps running).
 // The barrier drains every outbox, so the window resets per epoch —
 // in-flight here means "posted but not yet exchanged".
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,9 +63,10 @@ struct ShardedStats {
 
 class ShardedSim {
  public:
-  /// `lookahead` is the inter-shard link latency in ticks (>= 1): both the
-  /// hop delay every post pays and the safe horizon shards run ahead.
-  /// `threads` > 1 steps each epoch's shards on that many host threads.
+  static constexpr Tick kNoLinks = 0;  ///< A lone shard: no post possible.
+  /// `lookahead` (>= 1, or kNoLinks) is the inter-shard link latency in
+  /// ticks: both the hop delay every post pays and the safe horizon shards
+  /// run ahead. `threads` > 1 steps each epoch's shards on that many threads.
   explicit ShardedSim(Tick lookahead, int threads = 1);
   ~ShardedSim();
 
@@ -71,8 +77,13 @@ class ShardedSim {
   int add_shard(EventQueue& eq);
 
   int shards() const { return static_cast<int>(shards_.size()); }
-  Tick lookahead() const { return lookahead_; }
-  int threads() const { return threads_; }
+  /// Register an epoch clock (before run()): `fn(B)` runs at every
+  /// B = k * period, k >= 1, once every shard has fired all its events <= B
+  /// and stands at B, while the run is unfinished (src/sim/README.md).
+  void add_clock(Tick period, std::function<void(Tick)> fn) {
+    assert(period > 0 && "a clock needs a period");
+    clocks_.push_back(Clock{period, period, std::move(fn)});
+  }
 
   /// Bound on posts per (src, dst) link per epoch; 0 = unbounded.
   void set_link_window(std::uint32_t w) { link_window_ = w; }
@@ -127,8 +138,6 @@ class ShardedSim {
   /// Aggregate counters (window stalls are kept per-shard so threaded
   /// stepping races on nothing; summed here).
   ShardedStats stats() const;
-  /// Total events executed across every shard's queue.
-  std::uint64_t executed() const;
   /// One shard's can_post() refusal count (per-link timeline series).
   std::uint64_t shard_window_stalls(int shard) const {
     return shards_[static_cast<std::size_t>(shard)].window_stalls;
@@ -142,6 +151,7 @@ class ShardedSim {
   /// process): one B/E span per lookahead window, [t_min, horizon]. Written
   /// only on the coordinator thread between epochs.
   void set_trace(obs::TraceBuffer* tb) { trace_ = tb; }
+  obs::TraceBuffer* trace() const { return trace_; }
 
  private:
   struct OutMsg {
@@ -157,15 +167,26 @@ class ShardedSim {
     std::uint64_t window_stalls = 0;
     std::uint64_t partition_stalls = 0;  ///< Refusals on a down link.
   };
+  struct Clock {
+    Tick period, next;  ///< `next`: the boundary it runs at next.
+    std::function<void(Tick)> fn;
+  };
   struct Pool;  // persistent worker threads for threads_ > 1
+  /// Horizon of a lone shard with no clock: drain, now() on the last event.
+  static constexpr Tick kDrain = ~Tick{0};
 
   void exchange();
   void step_all(Tick horizon);
+  std::optional<Tick> next_event_tick() const;  ///< Over every shard.
+  Tick next_clock() const;  ///< Earliest boundary; kDrain with no clock.
+  /// Step to `b` and run each clock due there, unless the run has finished.
+  void run_clocks(Tick b, bool done);
 
   Tick lookahead_;
   int threads_;
   std::uint32_t link_window_ = 0;
   std::vector<Shard> shards_;
+  std::vector<Clock> clocks_;
   std::vector<std::uint32_t> in_flight_;  ///< S*S per-epoch link counters.
   // Per-link fault table (S*S), written only at the barrier, read by shard
   // code during the epoch — immutable within any epoch by contract.

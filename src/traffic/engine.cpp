@@ -34,9 +34,8 @@ using sim::SimThread;
 using wire::kPillTenant;
 using wire::kTickMask;
 
-/// QoS supervisor control cadence on a single node: a few epochs of
-/// reaction time stay well inside one bulk burst dwell. A mesh runs its
-/// supervisor at every lookahead barrier instead.
+/// QoS supervisor control cadence: a few epochs of reaction time stay well
+/// inside one bulk burst dwell.
 constexpr Tick kSupervisorPeriod = 2500;
 constexpr Tick kWindowBackoff = 32;  ///< Retry gap when a link is full.
 constexpr std::uint64_t kRebalancePeriod = 64;  ///< Barriers between checks.
@@ -83,8 +82,6 @@ struct Node {
   int id;
   runtime::Machine& m;
   squeue::ChannelFactory& f;
-  Tick t0 = 0;           ///< Clock and event count when the run began.
-  std::uint64_t ev0 = 0;
 
   std::vector<Stage> stages;
   std::vector<std::unique_ptr<Channel>> acks;  ///< Per producer, closed loop.
@@ -103,11 +100,12 @@ struct Node {
   std::uint64_t cross_in = 0;        ///< Messages that arrived over links.
 };
 
-/// What a run shares across its nodes: the spec, the route, and the fault,
-/// lifecycle, trace and supervisor planes (each null when unused).
+/// What a run shares across its nodes: the spec, the route, the stepper,
+/// and the fault, lifecycle, trace and supervisor planes (each null when
+/// unused).
 struct Run {
   Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
-      const obs::RunHooks* obs, ShardRouter* router);
+      const obs::RunHooks* obs, ShardRouter* router, int sim_threads = 1);
 
   const ScenarioSpec& spec;
   Backend backend;
@@ -116,8 +114,9 @@ struct Run {
 
   /// The route: producers draw destinations in [0, range); see route().
   std::uint64_t range = 0;
-  ShardRouter* router = nullptr;
-  sim::ShardedSim* ssim = nullptr;  ///< Carries posts between nodes.
+  ShardRouter* router = nullptr;  ///< Set on a mesh only.
+  /// Steps the nodes, one shard each, and carries a mesh's link posts.
+  sim::ShardedSim ssim;
 
   std::unique_ptr<fault::FaultPlane> plane;
   /// Loss/dup events on a software backend (hardware links are reliable).
@@ -131,8 +130,10 @@ struct Run {
 };
 
 Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
-         const obs::RunHooks* obs, ShardRouter* router)
-    : spec(spec), backend(backend), obs(obs), router(router) {
+         const obs::RunHooks* obs, ShardRouter* router, int sim_threads)
+    : spec(spec), backend(backend), obs(obs), router(router),
+      ssim(router ? spec.sharding.link_latency : sim::ShardedSim::kNoLinks,
+           sim_threads) {
   const std::string err = validate(spec);
   if (!err.empty())
     throw std::invalid_argument("invalid scenario '" + spec.name + "': " + err);
@@ -179,6 +180,7 @@ Node& add_node(Run& run, runtime::Machine& m, squeue::ChannelFactory& f,
                const ScenarioSpec& hosted) {
   const int id = static_cast<int>(run.nodes.size());
   Node& n = *run.nodes.emplace_back(std::make_unique<Node>(id, m, f));
+  run.ssim.add_shard(m.eq());
   if (run.plane) run.plane->arm_machine(m, id);
   if (run.sup)
     run.sup->attach(m.cfg(), channel_demand_for(hosted, run.backend, m.cfg()),
@@ -191,8 +193,6 @@ Node& add_node(Run& run, runtime::Machine& m, squeue::ChannelFactory& f,
     tm.slo_p99 = t.slo_p99;
     n.tenants.push_back(std::move(tm));
   }
-  n.t0 = m.now();
-  n.ev0 = m.eq().executed();
   return n;
 }
 
@@ -387,11 +387,11 @@ Co<void> producer(Run& run, Node& home, SimThread t, int tenant, int pid,
       // Remote: respect the link's in-flight window, then hand the message
       // to the destination's ingress at now + link latency.
       for (int k = 0; k < copies; ++k) {
-        while (!run.ssim->can_post(home.id, to.node->id)) {
+        while (!run.ssim.can_post(home.id, to.node->id)) {
           co_await sim::Delay(eq, kWindowBackoff);
           tm.blocked_ticks += kWindowBackoff;
         }
-        run.ssim->post(home.id, to.node->id, [to, msg] {
+        run.ssim.post(home.id, to.node->id, [to, msg] {
           Node& dst = *to.node;
           dst.digest = fnv1a(dst.digest, dst.m.now());
           dst.digest = fnv1a(dst.digest, msg.w[0]);
@@ -595,8 +595,8 @@ void register_class_series(obs::Timeline& tl, Run& run) {
 /// Register the run's timeline series: device and kernel counters summed
 /// over every node (chan.depth is the run's one queue-depth signal), a
 /// mesh's link signals, the per-class traffic counters, then the fault and
-/// supervisor series. Closures read run state in place: collect() detaches
-/// the timeline before the metrics move out.
+/// supervisor series. Closures read run state in place: step() detaches
+/// the timeline before the run goes away.
 void register_series(obs::Timeline& tl, Run& run) {
   auto add = [&tl, &run](std::string name,
                          std::function<std::uint64_t(Node&)> view) {
@@ -623,15 +623,15 @@ void register_series(obs::Timeline& tl, Run& run) {
         return n.f.caf_device().class_occupancy(cls);
       });
     }
-  if (sim::ShardedSim* ssim = run.ssim) {
+  if (run.router) {
     add("cross_shard.ingress", [](Node& n) { return n.cross_in; });
-    for (int sh = 0; sh < ssim->shards(); ++sh) {
+    for (int sh = 0; sh < run.ssim.shards(); ++sh) {
       const std::string p = "shard" + std::to_string(sh);
-      tl.add_series(p + ".window_stalls", [ssim, sh] {
-        return static_cast<double>(ssim->shard_window_stalls(sh));
+      tl.add_series(p + ".window_stalls", [&run, sh] {
+        return static_cast<double>(run.ssim.shard_window_stalls(sh));
       });
-      tl.add_series(p + ".partition_stalls", [ssim, sh] {
-        return static_cast<double>(ssim->shard_partition_stalls(sh));
+      tl.add_series(p + ".partition_stalls", [&run, sh] {
+        return static_cast<double>(run.ssim.shard_partition_stalls(sh));
       });
     }
   }
@@ -641,45 +641,50 @@ void register_series(obs::Timeline& tl, Run& run) {
 }
 
 /// Hook the timelines and the caller's tracer (one pid per node, plus a
-/// mesh's barrier lane) onto the run. Observation schedules nothing.
-/// Returns the caller's timeline, or null.
-obs::Timeline* observe(Run& run) {
+/// mesh's barrier lane) onto the run, before its first actor spawns.
+/// Observation schedules nothing.
+void observe(Run& run) {
   if (run.sup) register_class_series(run.sup_tl, run);
-  obs::Timeline* tl = run.obs ? run.obs->timeline : nullptr;
-  if (tl) register_series(*tl, run);
+  if (run.obs && run.obs->timeline) register_series(*run.obs->timeline, run);
   if (run.obs && run.obs->tracer) {
     obs::Tracer& tr = *run.obs->tracer;
     for (const auto& n : run.nodes) {
       const auto pid = static_cast<std::uint32_t>(n->id);
       n->m.eq().set_trace(&tr.buffer(pid));
-      tr.set_process_name(pid, run.ssim ? "shard" + std::to_string(n->id)
-                                        : std::string("machine"));
+      tr.set_process_name(pid, run.router ? "shard" + std::to_string(n->id)
+                                          : std::string("machine"));
     }
-    if (run.ssim) {
+    if (run.router) {
       const auto pid = static_cast<std::uint32_t>(run.nodes.size());
-      run.ssim->set_trace(&tr.buffer(pid));
+      run.ssim.set_trace(&tr.buffer(pid));
       tr.set_process_name(pid, "barrier");
     }
   }
-  return tl;
 }
 
-/// Supervisor control epoch: cut its private timeline, let it re-carve.
-void supervise(Run& run, Tick at) {
-  run.sup_tl.sample(at);
-  run.sup->on_epoch(run.sup_tl);
-}
+/// Every run's tail, after observe(): the caller's timeline, then the
+/// supervisor, as epoch clocks; step until drained; fold the nodes into one
+/// result. Throws std::runtime_error when a worker is still waiting (a lost
+/// pill or protocol deadlock), rather than reporting a partial run.
+EngineResult step(Run& run, sim::ShardedSim::BarrierHook hook,
+                  std::uint64_t seed, int scale) {
+  obs::Timeline* tl = run.obs ? run.obs->timeline : nullptr;
+  if (tl)
+    run.ssim.add_clock(std::max<Tick>(run.obs->sample_every, 1),
+                        [tl](Tick at) { tl->sample(at); });
+  if (run.sup)  // control epoch: cut the private timeline, let it re-carve
+    run.ssim.add_clock(kSupervisorPeriod, [&run](Tick at) {
+      run.sup_tl.sample(at);
+      run.sup->on_epoch(run.sup_tl);
+    });
+  run.ssim.run(std::move(hook));
 
-/// Finish observing a drained run and fold its nodes into one result.
-/// Throws std::runtime_error when a worker is still waiting: a drained
-/// queue with a stranded consumer (lost pill, protocol deadlock) fails
-/// loudly rather than reporting a partial run.
-EngineResult collect(Run& run, std::uint64_t seed, int scale) {
-  if (obs::Timeline* tl = run.obs ? run.obs->timeline : nullptr) {
-    // Final cumulative sample (its class series equal the end-of-run
-    // ScenarioMetrics), then detach before the metrics move out.
+  if (tl) {
+    // Final cumulative sample on the last fired tick (its class series
+    // equal the end-of-run ScenarioMetrics), then detach before the run
+    // goes away.
     Tick end = 0;
-    for (const auto& n : run.nodes) end = std::max(end, n->m.now());
+    for (const auto& n : run.nodes) end = std::max(end, n->m.eq().last_fired());
     tl->sample(end);
     tl->detach();
   }
@@ -702,10 +707,10 @@ EngineResult collect(Run& run, std::uint64_t seed, int scale) {
   r.scale = scale;
   for (std::size_t i = 0; i < run.nodes.size(); ++i) {
     Node& n = *run.nodes[i];
-    r.events += n.m.eq().executed() - n.ev0;
+    r.events += n.m.eq().executed();  // machines start fresh, at tick 0
     ScenarioMetrics sm;
-    sm.tenants = std::move(n.tenants);
-    sm.ticks = n.m.now() - n.t0;
+    sm.tenants = n.tenants;
+    sm.ticks = n.m.eq().last_fired();
     sm.ns = n.m.ns(sm.ticks);
     // The first node's rows are taken as they are (merge() would fold
     // same-named tenants); later nodes merge in by name.
@@ -718,40 +723,6 @@ EngineResult collect(Run& run, std::uint64_t seed, int scale) {
   return r;
 }
 
-/// One epoch clock of run_sampled: `at(boundary)` runs at every multiple
-/// of `period` past the start tick.
-struct EpochClock {
-  Tick period;
-  std::function<void(Tick)> at;
-  Tick next = 0;
-};
-
-/// Drive the queue to completion, running each clock at its epoch
-/// boundaries between events (clocks due on one tick run in list order).
-/// It replays the exact event sequence eq.run() would; now() reaches each
-/// boundary before the clock runs, so knob writes wake their waiters on
-/// that tick, and never passes the last event (src/sim/README.md).
-void run_sampled(sim::EventQueue& eq, std::vector<EpochClock> clocks) {
-  if (clocks.empty()) {
-    eq.run();
-    return;
-  }
-  for (auto& c : clocks) c.next = eq.now() + c.period;
-  for (;;) {
-    const auto nt = eq.peek_next_tick();
-    if (!nt) break;
-    for (;;) {
-      EpochClock* due = nullptr;
-      for (auto& c : clocks)
-        if (c.next < *nt && (!due || c.next < due->next)) due = &c;
-      if (!due) break;
-      eq.run_until(due->next);
-      due->at(due->next);
-      due->next += due->period;
-    }
-    eq.step();
-  }
-}
 
 }  // namespace
 
@@ -760,7 +731,7 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   const ScenarioSpec spec = scaled(raw, scale);
   const Backend backend = f_.backend();
 
-  Run run(spec, backend, seed, obs, nullptr);
+  Run run(spec, backend, seed, obs, nullptr);  // one shard, no links
   Node& n = add_node(run, m_, f_, spec);
 
   // Lifecycle plane, wired before any actor spawns.
@@ -821,7 +792,8 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
       n.acks.push_back(f_.make("ack" + std::to_string(p), 0, 1));
 
   // Producers, workers, then the termination actor's thread, which the last
-  // producer starts.
+  // producer starts. Observed from the first spawn on.
+  observe(run);
   const std::vector<int> tenant_of = producer_tenants(spec);
   n.producers_remaining = static_cast<int>(tenant_of.size());
   Placer place{m_};
@@ -840,17 +812,7 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   spawn_workers(run, n, place);
   n.idle_terminator = place.next();
   release(n);
-
-  obs::Timeline* tl = observe(run);
-  std::vector<EpochClock> clocks;
-  if (tl)
-    clocks.push_back({std::max<Tick>(obs->sample_every, 1),
-                      [tl](Tick at) { tl->sample(at); }});
-  if (run.sup)
-    clocks.push_back(
-        {kSupervisorPeriod, [&run](Tick at) { supervise(run, at); }});
-  run_sampled(m_.eq(), std::move(clocks));
-  return collect(run, seed, scale);
+  return step(run, {}, seed, scale);
 }
 
 ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
@@ -880,14 +842,12 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
     if (bad) throw std::invalid_argument(why);
 
   ShardRouter router(S);
-  sim::ShardedSim ssim(spec.sharding.link_latency, opts.sim_threads);
-  ssim.set_link_window(spec.sharding.link_window);
   // Declared before the run, so the nodes' channels go first at teardown.
   std::vector<std::unique_ptr<runtime::Machine>> machines;
   std::vector<std::unique_ptr<squeue::ChannelFactory>> factories;
-  Run run(spec, backend, seed, opts.obs, &router);
+  Run run(spec, backend, seed, opts.obs, &router, opts.sim_threads);
   run.range = population;
-  run.ssim = &ssim;
+  run.ssim.set_link_window(spec.sharding.link_window);
 
   // Producers and channels are dealt round-robin: global producer p lives
   // on shard p % S, global channel c on shard c % S. Each shard's hardware
@@ -910,9 +870,8 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
     add_stage(n, hosted.consumers, 1, "sh" + std::to_string(sh),
               spec.capacity_hint, frame);
     n.producers_remaining = np[static_cast<std::size_t>(sh)];
-    ssim.add_shard(m.eq());
   }
-  obs::Timeline* tl = observe(run);
+  observe(run);
 
   // Global message budget over global producer ids (largest remainder),
   // tenants assigned as on a single node — both are shard-count-invariant,
@@ -951,11 +910,8 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
   // were drained by this barrier's exchange), raise each node's stop flag
   // one lookahead out — deliveries landing on that same tick were
   // scheduled first, so payload always precedes the pills. Until then,
-  // optionally rebalance the ring off persistently hot shards.
-  obs::TraceBuffer* barrier_tb =
-      opts.obs && opts.obs->tracer
-          ? &opts.obs->tracer->buffer(static_cast<std::uint32_t>(S))
-          : nullptr;
+  // optionally rebalance the ring off persistently hot shards. The
+  // timeline and supervisor are epoch clocks, not barrier work.
   bool stop_sent = false;
   std::uint64_t rebalanced = 0;
   std::uint64_t barriers = 0;
@@ -966,12 +922,7 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
     // each epoch then steps under one immutable table, which keeps fault
     // runs byte-identical between sequential and threaded stepping. Runs
     // before the stop check so partitions lift during the drain phase.
-    if (run.plane) run.plane->apply_links(ssim, now, barrier_tb);
-    // Timeline and supervisor epochs: after the exchange every shard
-    // stands at the same tick, so one sample is a consistent mesh-wide
-    // cut. Sampling reads counters only — it never schedules.
-    if (tl) tl->sample(now);
-    if (run.sup) supervise(run, now);
+    if (run.plane) run.plane->apply_links(run.ssim, now, run.ssim.trace());
     if (stop_sent) return true;
     if (std::all_of(run.nodes.begin(), run.nodes.end(),
                     [](const auto& n) { return n->producers_remaining == 0; })) {
@@ -1008,21 +959,19 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
     }
     return false;
   };
-  ssim.run(hook);
-
   ShardedResult r;
+  r.engine = step(run, hook, seed, scale);
   for (const auto& n : run.nodes) {
     r.shard_digests.push_back(n->digest);
     std::uint64_t delivered = 0;
     for (const auto& t : n->tenants) delivered += t.delivered;
     r.shard_delivered.push_back(delivered);
   }
-  r.engine = collect(run, seed, scale);
   r.shards = S;
   r.sim_threads = opts.sim_threads;
-  r.epochs = ssim.stats().epochs;
-  r.cross_shard = ssim.stats().messages;
-  r.window_stalls = ssim.stats().window_stalls;
+  r.epochs = run.ssim.stats().epochs;
+  r.cross_shard = run.ssim.stats().messages;
+  r.window_stalls = run.ssim.stats().window_stalls;
   r.rebalanced = rebalanced;
   return r;
 }

@@ -4,8 +4,8 @@
 // producer / worker / termination-actor SimThreads on each, drives open- or
 // closed-loop load, and collects per-tenant latency metrics. Engine::run
 // drives one node on the caller's machine, run_sharded
-// (traffic/sharded_engine.hpp) a mesh of them; both run the same actors
-// and setup (engine.cpp) and differ only in data and in their stepper.
+// (traffic/sharded_engine.hpp) a mesh of them, each node one shard of a
+// sim::ShardedSim (engine.cpp); they differ only in data, not in stepper.
 //
 // Message framing (traffic/wire.hpp): word 0 of every payload message
 // carries the tenant, producer and send tick, so any final-stage consumer

@@ -41,8 +41,8 @@ struct ShardedOptions {
   int sim_threads = 1;
   std::uint64_t population = 0;  ///< Override spec.sharding.population.
   std::uint64_t messages = 0;    ///< Override spec.sharding.messages_total.
-  /// Optional observability (src/obs/): a Timeline is sampled at every
-  /// lookahead barrier (plus a final cumulative epoch); a Tracer gets one
+  /// Optional observability (src/obs/): a Timeline is sampled every
+  /// obs->sample_every ticks plus a final cumulative epoch; a Tracer gets one
   /// buffer per shard (pid = shard id) and a barrier-epoch lane
   /// (pid = shards). Observation schedules nothing: digests and metrics
   /// are byte-identical with it on or off.

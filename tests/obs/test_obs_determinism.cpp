@@ -167,11 +167,17 @@ TEST(ObsDeterminism, ShardedEngineDigestsIdenticalWithObsOnAndOff) {
   EXPECT_EQ(observed.engine.csv(), plain.engine.csv());
   EXPECT_EQ(observed.epochs, plain.epochs);
 
-  // At least one timeline epoch per lookahead barrier (the hook also runs
-  // on straggler/drain iterations) plus the final cumulative sample, and
-  // the final epoch matches the merged metrics.
+  // The timeline is an epoch clock: one sample on every sample_every
+  // boundary before the last event, plus the final cumulative sample on
+  // that event; the final epoch matches the merged metrics.
   ASSERT_GT(tl.size(), 0u);
-  EXPECT_GE(tl.epochs(), observed.epochs + 1);
+  ASSERT_EQ(tl.dropped(), 0u);
+  const Tick every = hooks.sample_every;
+  const Tick last = observed.engine.metrics.ticks;
+  EXPECT_EQ(tl.epochs(), (last - 1) / every + 1);
+  for (std::size_t i = 0; i + 1 < tl.size(); ++i)
+    EXPECT_EQ(tl.at(i).tick % every, 0u) << "sample " << i;
+  EXPECT_EQ(tl.at(tl.size() - 1).tick, last);
   EXPECT_EQ(tl.last("eq.executed"),
             static_cast<double>(observed.engine.events));
   const ClassAgg bulk = find_class(observed.engine.metrics, QosClass::kBulk);

@@ -82,6 +82,16 @@ TEST(EventQueue, RunUntilAdvancesTimeWhenEmpty) {
   EXPECT_EQ(eq.now(), 500u);
 }
 
+TEST(EventQueue, RunUntilPastTheLastEventKeepsLastFiredOnIt) {
+  EventQueue eq;
+  EXPECT_EQ(eq.last_fired(), 0u);
+  eq.schedule_at(12, [] {});
+  eq.schedule_at(37, [] {});
+  eq.run_until(500);
+  EXPECT_EQ(eq.now(), 500u);
+  EXPECT_EQ(eq.last_fired(), 37u);
+}
+
 TEST(EventQueue, ExecutedCounts) {
   EventQueue eq;
   for (int i = 0; i < 7; ++i) eq.schedule_at(i + 1, [] {});

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "obs/hooks.hpp"
 #include "sim/sharded.hpp"
 #include "traffic/shard_router.hpp"
 
@@ -135,6 +138,116 @@ TEST(ShardedSim, LinkWindowBoundsInFlightPosts) {
   EXPECT_EQ(ssim.stats().window_stalls, 3u);
 }
 
+// --- ShardedSim epoch clocks -------------------------------------------------
+
+TEST(ShardedSim, ClockSeesEveryEventUpToItsBoundaryAndNoneAfter) {
+  sim::EventQueue q[2];
+  sim::ShardedSim ssim(/*lookahead=*/100, 1);
+  ssim.add_shard(q[0]);
+  ssim.add_shard(q[1]);
+  const std::vector<Tick> at[2] = {{10, 50, 51, 99, 100, 150, 237},
+                                   {50, 75, 120, 200, 260}};
+  std::vector<Tick> fired[2];
+  for (int s = 0; s < 2; ++s)
+    for (const Tick t : at[s])
+      q[s].schedule_at(t, [&fired, &q, s] { fired[s].push_back(q[s].now()); });
+
+  std::vector<Tick> boundaries;
+  ssim.add_clock(50, [&](Tick b) {
+    boundaries.push_back(b);
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(q[s].now(), b) << "shard " << s;
+      const auto due = static_cast<std::size_t>(
+          std::count_if(at[s].begin(), at[s].end(),
+                        [b](Tick t) { return t <= b; }));
+      EXPECT_EQ(fired[s].size(), due) << "shard " << s << " at " << b;
+      for (const Tick t : fired[s]) EXPECT_LE(t, b);
+    }
+  });
+  ssim.run();
+  // One run per boundary before the last event (tick 260), none after.
+  EXPECT_EQ(boundaries, (std::vector<Tick>{50, 100, 150, 200, 250}));
+}
+
+TEST(ShardedSim, LoneShardSamplesBeforeItsLastEventAndKeepsThatTick) {
+  sim::EventQueue q;
+  sim::ShardedSim ssim(sim::ShardedSim::kNoLinks);
+  ssim.add_shard(q);
+  for (const Tick t : {Tick{1}, Tick{3}, Tick{7}}) q.schedule_at(t, [] {});
+  std::vector<Tick> samples;
+  ssim.add_clock(5, [&](Tick b) { samples.push_back(b); });
+  ssim.run();
+  EXPECT_EQ(samples, std::vector<Tick>{5});
+  EXPECT_EQ(q.last_fired(), 7u);
+  EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(ShardedSim, ClocksDueOnOneTickRunInRegistrationOrder) {
+  sim::EventQueue q;
+  sim::ShardedSim ssim(sim::ShardedSim::kNoLinks);
+  ssim.add_shard(q);
+  q.schedule_at(9, [] {});
+  std::vector<std::pair<char, Tick>> order;
+  ssim.add_clock(4, [&](Tick b) { order.emplace_back('a', b); });
+  ssim.add_clock(2, [&](Tick b) { order.emplace_back('b', b); });
+  ssim.run();
+  const std::vector<std::pair<char, Tick>> want = {
+      {'b', 2}, {'a', 4}, {'b', 4}, {'b', 6}, {'a', 8}, {'b', 8}};
+  EXPECT_EQ(order, want);
+}
+
+/// Two shards bounce chains of posts between them, each hop also leaving a
+/// local echo event. Returns each shard's (tick, id) event log, the epoch
+/// count and the ticks a read-only clock (if any) ran at.
+struct Bounce {
+  std::vector<std::pair<Tick, int>> log[2];
+  std::uint64_t epochs = 0;
+  std::vector<Tick> clock_ticks;
+};
+
+Bounce bounce(int threads, Tick clock_period) {
+  sim::EventQueue q[2];
+  sim::ShardedSim ssim(/*lookahead=*/20, threads);
+  ssim.add_shard(q[0]);
+  ssim.add_shard(q[1]);
+  Bounce out;
+  std::function<void(int, int)> hop = [&](int s, int id) {
+    out.log[s].emplace_back(q[s].now(), id);
+    if (id % 10 == 9) return;  // end of this chain
+    ssim.post(s, 1 - s, [&hop, s, id] { hop(1 - s, id + 1); });
+    q[s].schedule_in(3 + id % 4, [&out, &q, s, id] {
+      out.log[s].emplace_back(q[s].now(), -id);
+    });
+  };
+  for (int c = 0; c < 4; ++c)
+    q[c % 2].schedule_at(5 + 13 * c, [&hop, c] { hop(c % 2, 10 * c); });
+  if (clock_period)
+    ssim.add_clock(clock_period, [&](Tick b) {
+      out.clock_ticks.push_back(b);
+      EXPECT_EQ(q[0].now(), b);
+      EXPECT_EQ(q[1].now(), b);
+    });
+  ssim.run();
+  out.epochs = ssim.stats().epochs;
+  return out;
+}
+
+TEST(ShardedSim, AClockSplitsWindowsWithoutMovingExchangesOrEvents) {
+  const Bounce seq = bounce(1, 0);
+  ASSERT_EQ(seq.log[0].size() + seq.log[1].size(), 4u * 10 + 4u * 9);
+  for (const int threads : {1, 2}) {
+    const Bounce plain = bounce(threads, 0);
+    const Bounce clocked = bounce(threads, 7);
+    EXPECT_FALSE(clocked.clock_ticks.empty());
+    EXPECT_EQ(clocked.epochs, plain.epochs) << threads;
+    EXPECT_EQ(plain.epochs, seq.epochs) << threads;
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(clocked.log[s], plain.log[s]) << threads << " shard " << s;
+      EXPECT_EQ(plain.log[s], seq.log[s]) << threads << " shard " << s;
+    }
+  }
+}
+
 // --- ScenarioMetrics::merge --------------------------------------------------
 
 TEST(ScenarioMetricsMerge, MatchesByNameAndAppendsStrangers) {
@@ -248,6 +361,43 @@ TEST(ShardedEngine, RunsOnASoftwareBackendToo) {
                              11, small_opts(2));
   EXPECT_EQ(r.engine.metrics.total_delivered(), 2048u);
   EXPECT_GT(r.cross_shard, 0u);
+}
+
+TEST(ShardedEngine, SupervisedMeshMatchesAcrossSteppingAndObservation) {
+  // The QoS supervisor is an epoch clock on a mesh as on one node: it acts
+  // on fixed boundaries, so threaded stepping and a timeline plus tracer
+  // riding beside it leave every digest and CSV byte unchanged.
+  ScenarioSpec spec = *find_scenario("shard-diurnal");
+  spec.supervisor = true;
+  const auto seq = run_sharded(spec, Backend::kVl, 42, small_opts(4));
+  const auto thr =
+      run_sharded(spec, Backend::kVl, 42, small_opts(4, /*threads=*/4));
+  obs::Timeline tl;
+  obs::Tracer tr;
+  obs::RunHooks hooks;
+  hooks.timeline = &tl;
+  hooks.tracer = &tr;
+  ShardedOptions observed_opts = small_opts(4);
+  observed_opts.obs = &hooks;
+  const auto observed = run_sharded(spec, Backend::kVl, 42, observed_opts);
+
+  for (const auto& t : seq.engine.metrics.tenants) {
+    EXPECT_EQ(t.generated, t.sent + t.dropped) << t.tenant;
+    EXPECT_EQ(t.delivered, t.sent) << t.tenant;
+  }
+  EXPECT_EQ(seq.engine.metrics.total_delivered(), 2048u);
+  for (const auto* r : {&thr, &observed}) {
+    EXPECT_EQ(r->engine.csv(), seq.engine.csv());
+    EXPECT_EQ(r->shard_digests, seq.shard_digests);
+    EXPECT_EQ(r->shard_delivered, seq.shard_delivered);
+    EXPECT_EQ(r->engine.events, seq.engine.events);
+    EXPECT_EQ(r->epochs, seq.epochs);
+  }
+  // The supervisor ran and published its series on the caller's timeline.
+  const auto& names = tl.names();
+  EXPECT_NE(std::find(names.begin(), names.end(), "sup.violations"),
+            names.end());
+  EXPECT_GT(tl.epochs(), 1u);
 }
 
 TEST(ShardedEngine, RejectsUnshardableSpecs) {
