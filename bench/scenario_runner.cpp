@@ -75,8 +75,8 @@ void print_usage() {
                "            (.json for JSON, anything else long-form CSV);\n"
                "            single (scenario, backend) cell only\n"
                "  --sample-every N  timeline sampling period in sim ticks\n"
-               "            (single node; sharded runs sample at every\n"
-               "            lookahead barrier instead)\n"
+               "            (default 10000; single node and shard mesh\n"
+               "            alike)\n"
                "  --trace FILE  write a Chrome-trace JSON of the run\n"
                "            (load in Perfetto / chrome://tracing);\n"
                "            single cell only\n"

@@ -69,7 +69,7 @@ RunResult run(bool throttled) {
                 Samples* lat) -> sim::Co<void> {
     for (int i = 0; i < kSensors * kPerSensor; ++i) {
       const auto msg = co_await c.dequeue();
-      lat->record(m.ns(m.now() - msg[2]));
+      lat->record(m.ns(m.now() - msg.elems[2]));
       co_await c.thread().compute(400);  // aggregation work per reading
     }
   }(aggregator, machine, &latencies));

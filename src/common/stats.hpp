@@ -1,5 +1,5 @@
 #pragma once
-// Lightweight named-counter and histogram facilities.
+// Lightweight named-counter and sample facilities.
 //
 // StatSet is the *snapshot* view of the telemetry system: a cold,
 // map-backed bag of named values that supports diff around a region of
@@ -49,66 +49,6 @@ class StatSet {
 
  private:
   std::map<std::string, std::uint64_t> counters_;
-};
-
-/// Streaming summary statistics (count/mean/min/max) without storing samples.
-class Summary {
- public:
-  void record(double x) {
-    if (n_ == 0 || x < min_) min_ = x;
-    if (n_ == 0 || x > max_) max_ = x;
-    // Welford update keeps mean numerically stable over long runs.
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-  }
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0, m2_ = 0.0, min_ = 0.0, max_ = 0.0;
-};
-
-/// Fixed-bucket linear histogram for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void record(double x) {
-    summary_.record(x);
-    if (x < lo_) {
-      ++underflow_;
-    } else if (x >= hi_) {
-      ++overflow_;
-    } else {
-      const auto b = static_cast<std::size_t>(
-          (x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-      ++counts_[b];
-    }
-  }
-
-  const Summary& summary() const { return summary_; }
-  const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  double bucket_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0;
-  Summary summary_;
 };
 
 /// Exact-percentile sample store. The simulator is deterministic and runs

@@ -40,18 +40,6 @@ sim::Co<int> VlPort::vl_push(int tid, Addr dev_va) {
   co_return rc;
 }
 
-sim::Co<int> VlPort::vl_select_push(int tid, Addr va, Addr dev_va) {
-  co_await core_.acquire_port(tid);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  latched_.erase(tid);  // the select overwrites any earlier latch
-  const Tick lat = hier_.select_line(core_.id(), line_of(va));
-  co_await sim::Delay(core_.eq(), lat);
-  co_await sim::Delay(core_.eq(), core_.cfg().issue_cost);
-  const int rc = co_await push_selected(line_of(va), dev_va);
-  core_.release_port();
-  co_return rc;
-}
-
 sim::Co<int> VlPort::push_selected(Addr line, Addr dev_va) {
   mem::Line data;
   hier_.peek_line(line, data.data());

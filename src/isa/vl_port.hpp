@@ -62,7 +62,10 @@ class VlPort {
   // latch before the second instruction reads it: neither thread can ever
   // complete a pair (a livelock the paper's FIR discussion does not
   // intend — real timeslices span many instructions).
-  sim::Co<int> vl_select_push(int tid, Addr va, Addr dev_va);
+  //
+  // vl_select_fetch arms the line's pushable tag before the bus transit
+  // (as vl_fetch does); the fetch burst arms each tag on arrival at the
+  // device, so the single form is kept for the consumer's one-line probe.
   sim::Co<int> vl_select_fetch(int tid, Addr va, Addr dev_va);
 
   // Burst forms (Channel API v2 batching): the select+op pair sequence for
@@ -73,6 +76,8 @@ class VlPort {
   // prefix. The per-line work that carries the paper's cost model — cache
   // fills of each selected line, per-line device buffer occupancy — is
   // unchanged; only the per-message instruction/transit overhead amortizes.
+  // Every runtime::Producer push is a select+push burst (a single line is
+  // a run of one: the same port hold, transit and response).
   sim::Co<int> vl_select_push_burst(int tid, std::span<const Addr> vas,
                                     Addr dev_va, std::size_t* accepted);
   sim::Co<int> vl_select_fetch_burst(int tid, std::span<const Addr> vas,

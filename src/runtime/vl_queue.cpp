@@ -2,45 +2,53 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace vl::runtime {
 
 namespace {
 constexpr Tick kPollInterval = 16;     ///< Cycles between control-word polls.
 constexpr int kRefetchThreshold = 64;  ///< Polls before re-issuing vl_fetch.
+
+// One 64 B endpoint address in a mapped queue page (Fig. 9).
+Addr take_endpoint(Supervisor& sup, Addr page, const QueueHandle& q,
+                   const char* role) {
+  const auto ep = sup.alloc_endpoint(page);
+  if (!ep)
+    throw std::length_error("VL queue '" + q.name + "': " + role +
+                            " page out of endpoint slots");
+  return *ep;
+}
 }  // namespace
 
 // --- Producer ----------------------------------------------------------------
 
 Producer::Producer(Machine& m, const QueueHandle& q, Supervisor& sup,
                    sim::SimThread thread, std::size_t buf_lines)
-    : m_(m), t_(thread), vlrd_id_(q.vlrd_id), sqi_(q.sqi) {
-  auto ep = sup.alloc_endpoint(q.prod_page);
-  assert(ep && "producer page out of endpoint slots");
-  dev_va_ = *ep;
+    : m_(m),
+      t_(thread),
+      dev_va_(take_endpoint(sup, q.prod_page, q, "producer")),
+      vlrd_id_(q.vlrd_id),
+      sqi_(q.sqi) {
   buf_.reserve(buf_lines);
   for (std::size_t i = 0; i < buf_lines; ++i)
     buf_.push_back(m_.alloc(kLineSize));
 }
 
-sim::Co<bool> Producer::try_enqueue(std::span<const std::uint64_t> words) {
-  co_return co_await try_enqueue_elems(ElemSize::kDword, words);
-}
-
 sim::Co<std::size_t> Producer::stage_burst(std::span<const LineView> lines) {
   const std::size_t k = std::min(lines.size(), buf_.size());
-  // Stage the run: fill each ring line's data region and arm its control
-  // word (Fig. 10), exactly as the single-line path does — the savings are
-  // all in the fused port/device transaction of push_staged().
+  // Fill each ring line's data region high-to-low, then arm its control
+  // word (Fig. 10).
   staged_.clear();
   for (std::size_t i = 0; i < k; ++i) {
     const LineView& lv = lines[i];
-    assert(lv.n >= 1 && lv.n <= kMaxWordsPerLine);
+    assert(lv.n >= 1 && lv.n <= max_elems(lv.size));
     const Addr line = buf_[(cur_ + i) % buf_.size()];
+    const auto width = static_cast<unsigned>(elem_bytes(lv.size));
     for (std::uint8_t j = 0; j < lv.n; ++j)
-      co_await t_.store(line + dword_offset(j, lv.n), lv.w[j], 8);
-    co_await t_.store(line + kCtrlOffset,
-                      pack_ctrl(ElemSize::kDword, lv.n, lv.qos), 2);
+      co_await t_.store(line + elem_offset(lv.size, j, lv.n), lv.w[j], width);
+    co_await t_.store(line + kCtrlOffset, pack_ctrl(lv.size, lv.n, lv.qos),
+                      2);
     staged_.push_back(line);
   }
   co_return k;
@@ -75,93 +83,72 @@ sim::Co<BurstResult> Producer::try_enqueue_burst(
   co_return co_await push_staged(0, k);
 }
 
-sim::Co<bool> Producer::try_enqueue_elems(
-    ElemSize sz, std::span<const std::uint64_t> elems) {
-  const int rc = co_await try_enqueue_raw(sz, elems);
-  co_return rc == isa::kVlOk;
+sim::Co<bool> Producer::try_enqueue(std::span<const std::uint64_t> words) {
+  const LineView lv{words.data(), static_cast<std::uint8_t>(words.size())};
+  const BurstResult b = co_await try_enqueue_burst({&lv, 1});
+  co_return b.rc == isa::kVlOk;
 }
 
-sim::Co<int> Producer::try_enqueue_raw(ElemSize sz,
-                                       std::span<const std::uint64_t> elems) {
-  assert(!elems.empty() && elems.size() <= max_elems(sz));
-  const Addr line = buf_[cur_];
-  const auto n = static_cast<std::uint8_t>(elems.size());
-  const auto width = static_cast<unsigned>(elem_bytes(sz));
-
-  // Fill the data region high-to-low, then arm the control word (Fig. 10).
-  // Element-size frames carry the standard class; classed traffic goes
-  // through the staged-burst path, which tags each line itself.
-  for (std::uint8_t i = 0; i < n; ++i)
-    co_await t_.store(line + elem_offset(sz, i, n), elems[i], width);
-  co_await t_.store(line + kCtrlOffset,
-                    pack_ctrl(sz, n, QosClass::kStandard), 2);
-
-  // Fused select+push: under core oversubscription, issuing them as two
-  // port transactions lets the sibling thread's ops interleave and the
-  // resulting context switch clears the selection latch every time.
-  const int rc =
-      co_await m_.vl_port(t_.core->id()).vl_select_push(t_.tid, line, dev_va_);
-  if (rc == isa::kVlOk) {
-    cur_ = (cur_ + 1) % buf_.size();  // hardware zeroed the line for reuse
-    co_return rc;
+sim::Co<void> Producer::enqueue_burst(std::span<const LineView> lines,
+                                      NackObserver on_nack) {
+  sim::WaitQueue& quota_wq = m_.vl_quota_wq(vlrd_id_, sqi_);
+  std::size_t done = 0;
+  while (done < lines.size()) {
+    const std::size_t staged = co_await stage_burst(lines.subspan(done));
+    std::size_t pushed = 0;
+    std::size_t held = 0;  // space credits granted for the remaining run
+    while (pushed < staged) {
+      // Futex protocol (quota side): sample the wake epoch before the
+      // attempt so an injection completing mid-push is never lost as a
+      // wakeup. The space side is a credit gate — credits persist, so no
+      // epoch gate is needed there.
+      const std::uint64_t gate_quota = quota_wq.epoch();
+      const BurstResult b = co_await push_staged(pushed, staged - pushed);
+      pushed += b.accepted;
+      held -= std::min(held, b.accepted);  // consumed with the slots
+      if (pushed == staged) break;
+      if (on_nack) on_nack(b.rc, lines[done + pushed]);
+      if (b.rc == isa::kVlNackQuota) {
+        // Only this SQI draining helps; slot credits we cannot convert go
+        // back to the gate for producers of other SQIs.
+        if (held) {
+          m_.vl_space().release(held);
+          held = 0;
+        }
+        co_await t_.park(quota_wq, gate_quota);
+      } else {
+        // Full buffer: any credits we still held were stale (their slots
+        // went to a fast-path push) — drop them and wait for a grant
+        // covering the rest of the run, up to one prodBuf: credits come
+        // only from lines leaving the full buffer, so a larger want would
+        // never be granted.
+        held = std::min<std::size_t>(staged - pushed,
+                                     m_.cfg().vlrd.prod_entries);
+        co_await t_.acquire_credits(m_.vl_space(), held);
+      }
+    }
+    done += staged;
   }
-  ++retries_;
-  co_return rc;  // data still in the line; caller may retry the push
 }
 
-sim::Co<void> Producer::enqueue(std::span<const std::uint64_t> words) {
-  co_await enqueue_elems(ElemSize::kDword, words);
+sim::Co<void> Producer::enqueue(std::span<const std::uint64_t> elems,
+                                ElemSize size) {
+  const LineView lv{elems.data(), static_cast<std::uint8_t>(elems.size()),
+                    QosClass::kStandard, size};
+  co_await enqueue_burst({&lv, 1});
 }
 
 sim::Co<void> Producer::enqueue1(std::uint64_t w) {
-  const std::uint64_t one[1] = {w};
-  co_await enqueue(std::span<const std::uint64_t>(one, 1));
-}
-
-sim::Co<void> Producer::enqueue_elems(ElemSize sz,
-                                      std::span<const std::uint64_t> elems) {
-  sim::WaitQueue& quota_wq = m_.vl_quota_wq(vlrd_id_, sqi_);
-  bool holds_credit = false;  // granted a space credit last lap
-  for (;;) {
-    // Futex protocol (quota side): sample the wake epoch before the
-    // attempt so an injection completing mid-push is never lost as a
-    // wakeup. The space side is a credit gate — credits persist, so no
-    // epoch gate is needed there.
-    // NB: the await must not sit in the loop condition — GCC 12 destroys
-    // condition temporaries before the suspended callee resumes, which
-    // tears down the in-flight coroutine (silent no-op).
-    const std::uint64_t gate_quota = quota_wq.epoch();
-    const int rc = co_await try_enqueue_raw(sz, elems);
-    if (rc == isa::kVlOk) break;
-    if (rc == isa::kVlNackQuota) {
-      // Our SQI's (or class's) quota is exhausted: only this SQI draining
-      // helps, so park on its futex. A slot credit we were granted but
-      // cannot use goes back to the gate — some other SQI's space-parked
-      // producer may be able to take the slot we cannot.
-      if (holds_credit) {
-        holds_credit = false;
-        m_.vl_space().release(1);
-      }
-      co_await t_.park(quota_wq, gate_quota);
-    } else {
-      // Buffer full: wait for a freed-slot credit from the routing device,
-      // donating the core instead of spinning a backoff timer. (A held
-      // credit that still NACKed was stale — taken by a fast-path push —
-      // and is simply dropped.)
-      co_await t_.acquire_credits(m_.vl_space(), 1);
-      holds_credit = true;
-    }
-  }
+  co_await enqueue({&w, 1});
 }
 
 // --- Consumer ----------------------------------------------------------------
 
 Consumer::Consumer(Machine& m, const QueueHandle& q, Supervisor& sup,
                    sim::SimThread thread, std::size_t buf_lines)
-    : m_(m), t_(thread) {
-  auto ep = sup.alloc_endpoint(q.cons_page);
-  assert(ep && "consumer page out of endpoint slots");
-  dev_va_ = *ep;
+    : m_(m),
+      t_(thread),
+      dev_va_(take_endpoint(sup, q.cons_page, q, "consumer")) {
   buf_.reserve(buf_lines);
   for (std::size_t i = 0; i < buf_lines; ++i)
     buf_.push_back(m_.alloc(kLineSize));
@@ -206,7 +193,7 @@ sim::Co<std::optional<Frame>> Consumer::try_dequeue_once() {
   }
   isa::VlPort& port = m_.vl_port(t_.core->id());
   if (!armed_[cur_]) {
-    // Fused select+fetch (see Producer::try_enqueue_elems for why).
+    // Fused select+fetch (see isa::VlPort for why).
     co_await port.vl_select_fetch(t_.tid, line, dev_va_);
     armed_[cur_] = true;
     polls_since_fetch_ = 0;
@@ -280,11 +267,17 @@ sim::Co<std::optional<Frame>> Consumer::sweep_landed() {
   co_return std::nullopt;
 }
 
-sim::Co<Frame> Consumer::dequeue_frame() {
+sim::Co<Frame> Consumer::dequeue() {
   for (;;) {
     if (auto got = co_await try_dequeue_once()) co_return *got;
     co_await t_.compute(kPollInterval);
   }
+}
+
+sim::Co<std::uint64_t> Consumer::dequeue1() {
+  const Frame f = co_await dequeue();
+  assert(f.elems.size() == 1);
+  co_return f.elems[0];
 }
 
 void Consumer::migrate(sim::SimThread to) {
@@ -303,39 +296,21 @@ void Consumer::migrate(sim::SimThread to) {
   t_ = to;
 }
 
-sim::Co<std::vector<std::uint64_t>> Consumer::dequeue() {
-  Frame f = co_await dequeue_frame();
-  co_return std::move(f.elems);
-}
-
-sim::Co<std::uint64_t> Consumer::dequeue1() {
-  std::vector<std::uint64_t> v = co_await dequeue();
-  assert(v.size() == 1);
-  co_return v[0];
-}
-
-sim::Co<std::optional<std::vector<std::uint64_t>>> Consumer::try_dequeue(
-    int poll_budget) {
-  for (int i = 0;; ++i) {
-    if (auto got = co_await try_dequeue_once())
-      co_return std::move(got->elems);
-    if (i >= poll_budget) co_return std::nullopt;
-    co_await t_.compute(kPollInterval);
-  }
-}
-
 // --- VlQueueLib ---------------------------------------------------------------
 
 QueueHandle VlQueueLib::open(const std::string& name) {
   const int desc = sup_.shm_open(name);
-  assert(desc >= 0 && "out of SQIs");
+  if (desc < 0)
+    throw std::length_error("VL queue '" + name + "': out of SQIs");
+  const auto pp = sup_.vl_mmap(desc, Prot::kWrite);
+  const auto cp = sup_.vl_mmap(desc, Prot::kRead);
+  if (!pp || !cp)
+    throw std::length_error("VL queue '" + name + "': out of device pages");
   QueueHandle q;
+  q.name = name;
   q.desc = desc;
   q.sqi = Supervisor::desc_sqi(desc);
   q.vlrd_id = Supervisor::desc_device(desc);
-  auto pp = sup_.vl_mmap(desc, Prot::kWrite);
-  auto cp = sup_.vl_mmap(desc, Prot::kRead);
-  assert(pp && cp);
   q.prod_page = *pp;
   q.cons_page = *cp;
   return q;

@@ -14,6 +14,7 @@
 // draining them.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,7 +28,6 @@ namespace vl::runtime {
 // --- Fig. 10 control-region codec -----------------------------------------
 
 inline constexpr std::size_t kCtrlOffset = kLineCtrlOffset;  ///< @ line MSBs
-inline constexpr std::size_t kMaxWordsPerLine = 7;
 
 /// Size codes (2 bits): byte / half / word / doubleword.
 enum class ElemSize : std::uint8_t { kByte = 0, kHalf = 1, kWord = 2, kDword = 3 };
@@ -82,6 +82,7 @@ inline constexpr std::size_t dword_offset(std::uint8_t i, std::uint8_t n) {
 /// Handle for an open VL queue: queue descriptor (routing device + SQI)
 /// plus producer/consumer page mappings. Obtained from VlQueueLib::open().
 struct QueueHandle {
+  std::string name;            ///< shm_open name (for diagnostics).
   int desc = 0;                ///< Supervisor descriptor (device*kMaxSqi+sqi).
   std::uint32_t vlrd_id = 0;   ///< Routing device serving this queue.
   Sqi sqi = 0;                 ///< SQI within that device's linkTab.
@@ -89,13 +90,15 @@ struct QueueHandle {
   Addr cons_page = 0;
 };
 
-/// One message line's worth of payload for a burst enqueue: a borrowed
-/// view of up to 7 dwords plus the service class stamped into the line's
+/// One message line's worth of payload: a borrowed view of up to
+/// max_elems(size) elements of one Fig. 10 size code (values truncated to
+/// the element width) plus the service class stamped into the line's
 /// control byte.
 struct LineView {
   const std::uint64_t* w = nullptr;
   std::uint8_t n = 0;
   QosClass qos = QosClass::kStandard;
+  ElemSize size = ElemSize::kDword;
 };
 
 /// Outcome of a burst enqueue: how many leading lines the device accepted
@@ -106,46 +109,49 @@ struct BurstResult {
 };
 
 /// Producer endpoint: local circular buffer + mapped device address.
+///
+/// Every enqueue is a staged burst (single-line calls are bursts of one):
+/// up to buf_lines message lines are written into the endpoint ring ONCE
+/// and pushed to the routing device in ONE fused port transaction — one
+/// selection sequence, one bus transit, one device arrival at which the
+/// VLRD admits the run under a single prodBuf/quota acquisition, one
+/// response. The device accepts a prefix; unaccepted lines keep their data
+/// (as the paper's line does until the device copies it), so a retry after
+/// a NACK re-pays only the push, not the payload stores.
 class Producer {
  public:
+  /// Throws std::length_error when the queue's producer page has no free
+  /// endpoint slot.
   Producer(Machine& m, const QueueHandle& q, Supervisor& sup,
            sim::SimThread thread, std::size_t buf_lines = 8);
 
-  /// Enqueue up to 7 doublewords as one message line. Non-blocking attempt;
+  /// Called once per NACK of a blocking enqueue with the vl_push status
+  /// (isa::kVlNackQuota or a full-buffer NACK) and the line that stopped
+  /// the run, before the producer parks.
+  using NackObserver = std::function<void(int rc, const LineView& stopper)>;
+
+  /// Non-blocking attempt for one message line of up to 7 doublewords;
   /// false when the VLRD NACKs (back-pressure).
   sim::Co<bool> try_enqueue(std::span<const std::uint64_t> words);
 
-  /// Burst enqueue (Channel API v2 fast path): stage up to buf_lines
-  /// message lines in the endpoint ring and push the run to the routing
-  /// device in ONE fused port transaction — one selection sequence, one
-  /// bus transit, one device arrival at which the VLRD admits the run
-  /// under a single prodBuf/quota acquisition, one response. Non-blocking:
-  /// the device accepts a prefix and the NACK status of the stopper is
-  /// reported for the caller's parking decision.
+  /// Non-blocking burst attempt: stages up to buf_lines lines and pushes
+  /// them once; reports the accepted prefix and the stopper's NACK status
+  /// for the caller's parking decision.
   sim::Co<BurstResult> try_enqueue_burst(std::span<const LineView> lines);
 
-  /// Split form for back-pressure retry loops: stage_burst() writes up to
-  /// buf_lines lines into the endpoint ring ONCE (returns the count
-  /// staged); push_staged() then pushes the staged run's not-yet-accepted
-  /// suffix in one fused port transaction and may be retried after a NACK
-  /// without re-writing any payload — a parked producer that wakes re-pays
-  /// only the push, not the stores. The staged run stays valid until its
-  /// lines are accepted (accepted lines recycle through the ring).
-  sim::Co<std::size_t> stage_burst(std::span<const LineView> lines);
-  sim::Co<BurstResult> push_staged(std::size_t offset, std::size_t count);
+  /// Blocking enqueue of every line, a ring's worth per lap. A quota NACK
+  /// parks on the per-(device, SQI) quota futex, handing back any space
+  /// credits it cannot use; a full buffer waits on the machine's space
+  /// credit gate for the whole unpushed run (at most one prodBuf), so one
+  /// wake carries an n-slot grant and the re-push re-injects the run in
+  /// one transaction.
+  sim::Co<void> enqueue_burst(std::span<const LineView> lines,
+                              NackObserver on_nack = {});
 
-  /// Enqueue elements of any Fig. 10 size code (byte/half/word/dword) —
-  /// values are truncated to the element width; up to max_elems(sz) per
-  /// line. Non-blocking attempt.
-  sim::Co<bool> try_enqueue_elems(ElemSize sz,
-                                  std::span<const std::uint64_t> elems);
-
-  /// Blocking enqueue: on back-pressure (device NACK) the thread parks on
-  /// the machine's VL space futex and is woken when buffer space frees.
-  sim::Co<void> enqueue(std::span<const std::uint64_t> words);
+  /// Blocking one-line enqueues (standard class).
+  sim::Co<void> enqueue(std::span<const std::uint64_t> elems,
+                        ElemSize size = ElemSize::kDword);
   sim::Co<void> enqueue1(std::uint64_t w);
-  sim::Co<void> enqueue_elems(ElemSize sz,
-                              std::span<const std::uint64_t> elems);
 
   /// OS thread migration: subsequent enqueues issue from `to`'s core. A
   /// producer holds no cross-call device state (the selection latch is
@@ -156,12 +162,14 @@ class Producer {
   Addr endpoint_va() const { return dev_va_; }
   sim::SimThread thread() const { return t_; }
 
-  /// Attempt returning the raw vl_push status (isa::VlStatus), so callers
-  /// can tell a quota NACK (park per-SQI) from a full buffer (park global).
-  sim::Co<int> try_enqueue_raw(ElemSize sz,
-                               std::span<const std::uint64_t> elems);
-
  private:
+  /// Write up to buf_lines lines into the ring (data region high-to-low,
+  /// then the control word); returns the count staged.
+  sim::Co<std::size_t> stage_burst(std::span<const LineView> lines);
+  /// Push the staged run's lines [offset, offset+count) in one fused port
+  /// transaction; accepted lines recycle through the ring.
+  sim::Co<BurstResult> push_staged(std::size_t offset, std::size_t count);
+
   Machine& m_;
   sim::SimThread t_;
   Addr dev_va_ = 0;
@@ -185,22 +193,19 @@ struct Frame {
 /// Consumer endpoint.
 class Consumer {
  public:
+  /// Throws std::length_error when the queue's consumer page has no free
+  /// endpoint slot.
   Consumer(Machine& m, const QueueHandle& q, Supervisor& sup,
            sim::SimThread thread, std::size_t buf_lines = 8);
 
-  /// Blocking dequeue of one message line (1..7 dwords). Registers demand
-  /// with the VLRD, then polls the line's control region; after a context
-  /// switch (or long silence) the request is re-issued, which is safe
-  /// because VLRD registration is idempotent per consumer target.
-  sim::Co<std::vector<std::uint64_t>> dequeue();
+  /// Blocking dequeue of one message line, decoding any Fig. 10 element
+  /// size: try_dequeue_once() at the § III-B control-word poll interval.
+  /// After a context switch (or long silence) the demand registration is
+  /// re-issued, which is safe because VLRD registration is idempotent per
+  /// consumer target.
+  sim::Co<Frame> dequeue();
+  /// Blocking dequeue of a one-element line.
   sim::Co<std::uint64_t> dequeue1();
-
-  /// Blocking dequeue decoding any Fig. 10 element size.
-  sim::Co<Frame> dequeue_frame();
-
-  /// Non-blocking probe: one fetch registration + bounded poll.
-  sim::Co<std::optional<std::vector<std::uint64_t>>> try_dequeue(
-      int poll_budget = 64);
 
   /// Cheapest non-blocking probe (Channel API v2 core): one control-word
   /// poll of the current ring line, arming demand lazily — the fetch
@@ -266,7 +271,8 @@ class VlQueueLib {
   }
 
   /// Steps (1)-(5) of Fig. 8b: shm_open the name, mmap producer and
-  /// consumer pages.
+  /// consumer pages. Throws std::length_error when every routing device's
+  /// SQIs or the queue's page budget are exhausted.
   QueueHandle open(const std::string& name);
 
   Producer make_producer(const QueueHandle& q, sim::SimThread t,

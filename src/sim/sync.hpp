@@ -10,9 +10,6 @@
 // time only where an explicit latency is configured.
 //
 //   Barrier    — classic N-party phase barrier, reusable across phases.
-//   Semaphore  — counting semaphore with FIFO wakeup.
-//   Event      — one-shot broadcast gate (set() releases all waiters,
-//                including future ones).
 //   WaitQueue  — simulated-futex park/wake: blocked threads park instead
 //                of polling, and the state-changing side wakes them.
 //   ParkAny    — multi-futex park: one coroutine parked on N WaitQueues at
@@ -311,85 +308,6 @@ class Barrier {
   std::uint32_t parties_;
   std::vector<std::coroutine_handle<>> waiting_;
   std::uint64_t generations_ = 0;
-};
-
-/// Counting semaphore with FIFO wakeup order.
-class Semaphore {
- public:
-  Semaphore(EventQueue& eq, std::uint64_t initial)
-      : eq_(eq), count_(initial) {}
-
-  auto acquire() {
-    struct Awaiter {
-      Semaphore& s;
-      bool await_ready() {
-        if (s.count_ > 0) {
-          --s.count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        s.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  /// Release one permit; ownership transfers directly to the oldest
-  /// waiter if any (so count() stays 0 while a queue exists).
-  void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      eq_.schedule_in(0, [h] { h.resume(); });
-    } else {
-      ++count_;
-    }
-  }
-
-  std::uint64_t count() const { return count_; }
-  std::size_t queue_length() const { return waiters_.size(); }
-
- private:
-  EventQueue& eq_;
-  std::uint64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// One-shot broadcast gate.
-class Event {
- public:
-  explicit Event(EventQueue& eq) : eq_(eq) {}
-
-  auto wait() {
-    struct Awaiter {
-      Event& e;
-      bool await_ready() const { return e.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        e.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  /// Release all current waiters; later wait()s pass through. Idempotent.
-  void set() {
-    if (set_) return;
-    set_ = true;
-    auto batch = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : batch) eq_.schedule_in(0, [h] { h.resume(); });
-  }
-
-  bool is_set() const { return set_; }
-
- private:
-  EventQueue& eq_;
-  bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace vl::sim

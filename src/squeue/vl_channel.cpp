@@ -70,49 +70,12 @@ sim::Co<SendManyResult> VlChannel::try_send_many(sim::SimThread t,
 
 sim::Co<void> VlChannel::send_many(sim::SimThread t,
                                    std::span<const Msg> msgs) {
-  runtime::Machine& m = lib_.machine();
-  runtime::Producer& p = producer_for(t);
-  sim::WaitQueue& quota_wq = m.vl_quota_wq(q_.vlrd_id, q_.sqi);
   const SendTrace trace(t, msgs.size());
-  std::size_t done = 0;
-  while (done < msgs.size()) {
-    // Each lap's lines are written into the endpoint ring ONCE; only the
-    // fused push retries after back-pressure. On a full-buffer NACK the
-    // producer asks the machine's credit gate for the whole remaining
-    // run, so one wake carries an n-slot grant and the re-push re-injects
-    // the run in one transaction — batched injection stays batched under
-    // saturation instead of degrading to slot-at-a-time wakes.
-    const std::vector<runtime::LineView> views =
-        line_views(msgs.subspan(done), buf_lines_);
-    const std::size_t staged = co_await p.stage_burst(views);
-    std::size_t pushed = 0;
-    std::size_t held = 0;  // space credits granted for the remaining run
-    while (pushed < staged) {
-      const std::uint64_t gate_quota = quota_wq.epoch();
-      const runtime::BurstResult b =
-          co_await p.push_staged(pushed, staged - pushed);
-      pushed += b.accepted;
-      held -= std::min(held, b.accepted);  // consumed with the slots
-      if (pushed == staged) break;
-      trace.nack(status_from(b.rc), msgs[done + pushed].qos);
-      if (b.rc == isa::kVlNackQuota) {
-        // Only this SQI draining helps; slot credits we cannot convert go
-        // back to the gate for producers of other SQIs.
-        if (held) {
-          m.vl_space().release(held);
-          held = 0;
-        }
-        co_await t.park(quota_wq, gate_quota);
-      } else {
-        // Full buffer: any credits we still held were stale (their slots
-        // went to a fast-path push) — drop them and wait for a grant
-        // covering the rest of the run.
-        held = staged - pushed;
-        co_await t.acquire_credits(m.vl_space(), held);
-      }
-    }
-    done += staged;
-  }
+  const std::vector<runtime::LineView> views = line_views(msgs, msgs.size());
+  co_await producer_for(t).enqueue_burst(
+      views, [&trace](int rc, const runtime::LineView& stopper) {
+        trace.nack(status_from(rc), stopper.qos);
+      });
   trace.end();
 }
 

@@ -13,11 +13,13 @@
 // consecutive lines and drains by pure local control-word polls.
 //
 // Blocking sends — single ones included, as one-element runs — go through
-// send_many: a lap's lines are staged once and keep their data through a
-// NACK, as the paper's line does until the device copies it, so only the
-// fused push retries. A quota NACK parks on the per-(device,SQI) quota
-// futex; a full buffer waits on the machine's space credit gate for the
-// whole unpushed run (see sim/README.md).
+// send_many, which is runtime::Producer::enqueue_burst (the library's one
+// blocking enqueue) inside a chan/send_many trace span: a lap's lines are
+// staged once and keep their data through a NACK, as the paper's line does
+// until the device copies it, so only the fused push retries. A quota NACK
+// parks on the per-(device,SQI) quota futex; a full buffer waits on the
+// machine's space credit gate for the whole unpushed run (see
+// sim/README.md).
 
 #include <map>
 #include <memory>
@@ -43,11 +45,11 @@ class VlChannel : public Channel {
   sim::Co<std::size_t> try_recv_many(sim::SimThread t,
                                      std::span<Msg> out) override;
 
-  /// Blocking batched send, specialised over the split stage/push surface:
-  /// each lap of lines is written into the endpoint ring ONCE, and only
-  /// the fused push is retried after a back-pressure park — a woken
-  /// producer re-pays one port transaction, not the payload stores. Traces
-  /// like Channel::send_many (span plus one instant per NACK).
+  /// Blocking batched send: Producer::enqueue_burst, which writes each lap
+  /// of lines into the endpoint ring ONCE and retries only the fused push
+  /// after a back-pressure park — a woken producer re-pays one port
+  /// transaction, not the payload stores. Traces like Channel::send_many
+  /// (span plus one instant per NACK, from the producer's NACK observer).
   sim::Co<void> send_many(sim::SimThread t, std::span<const Msg> msgs) override;
 
   /// Message lines queued in the routing device for this channel's SQI

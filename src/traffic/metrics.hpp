@@ -4,11 +4,10 @@
 //
 // common/stats.hpp's Samples stores every observation for exact
 // percentiles, which is fine for bounded Table-II kernels but not for
-// scenario runs that push millions of messages; and its linear Histogram
-// needs the value range up front. LogHistogram covers the full uint64
-// latency range in fixed memory: values < 64 land in exact unit buckets,
-// larger values in 32 log-linear sub-buckets per power of two, bounding
-// the relative quantile error at 1/32 (~3.1%).
+// scenario runs that push millions of messages. LogHistogram covers the
+// full uint64 latency range in fixed memory: values < 64 land in exact
+// unit buckets, larger values in 32 log-linear sub-buckets per power of
+// two, bounding the relative quantile error at 1/32 (~3.1%).
 
 #include <cstdint>
 #include <string>

@@ -38,38 +38,6 @@ TEST(StatSet, Merge) {
   EXPECT_EQ(a.get("y"), 1u);
 }
 
-TEST(Summary, WelfordMeanVariance) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.record(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.record(-1.0);
-  h.record(0.0);
-  h.record(9.999);
-  h.record(10.0);
-  h.record(5.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.buckets()[0], 1u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-  EXPECT_EQ(h.buckets()[5], 1u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(5), 5.0);
-}
-
 TEST(Geomean, MatchesHandComputation) {
   EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
   EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);

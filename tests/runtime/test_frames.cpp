@@ -82,10 +82,10 @@ TEST_P(FrameSizes, FullFrameRoundTrip) {
   Frame got;
   spawn([](Producer& p, ElemSize sz,
            const std::vector<std::uint64_t>* e) -> Co<void> {
-    co_await p.enqueue_elems(sz, *e);
+    co_await p.enqueue(*e, sz);
   }(prod, sz, &elems));
   spawn([](Consumer& c, Frame* out) -> Co<void> {
-    *out = co_await c.dequeue_frame();
+    *out = co_await c.dequeue();
   }(cons, &got));
   m.run();
   EXPECT_EQ(got.size, sz);
@@ -107,15 +107,58 @@ TEST_P(FrameSizes, SingleElementRoundTrip) {
   Frame got;
   spawn([](Producer& p, ElemSize sz, std::uint64_t v) -> Co<void> {
     const std::uint64_t one[1] = {v};
-    co_await p.enqueue_elems(sz, std::span<const std::uint64_t>(one, 1));
+    co_await p.enqueue(std::span<const std::uint64_t>(one, 1), sz);
   }(prod, sz, v));
   spawn([](Consumer& c, Frame* out) -> Co<void> {
-    *out = co_await c.dequeue_frame();
+    *out = co_await c.dequeue();
   }(cons, &got));
   m.run();
   EXPECT_EQ(got.size, sz);
   ASSERT_EQ(got.elems.size(), 1u);
   EXPECT_EQ(got.elems[0], v);
+}
+
+TEST_P(FrameSizes, BackPressuredStreamDecodes) {
+  // Frames of every length under a 4-entry prodBuf and a late, slow
+  // consumer: NACKed lines keep their staged data (elements at their size
+  // code's offsets and width) until the re-push lands them.
+  const ElemSize sz = GetParam();
+  sim::SystemConfig cfg;
+  cfg.vlrd.prod_entries = 4;
+  Machine m(cfg);
+  VlQueueLib lib(m);
+  const auto q = lib.open("frames-bp");
+  auto prod = lib.make_producer(q, m.thread_on(0));
+  auto cons = lib.make_consumer(q, m.thread_on(1));
+  const std::uint64_t mask =
+      elem_bytes(sz) == 8 ? ~0ull : (1ull << (8 * elem_bytes(sz))) - 1;
+  std::vector<std::vector<std::uint64_t>> sent;
+  for (int f = 0; f < 24; ++f) {
+    const std::size_t n = 1 + static_cast<std::size_t>(f) % max_elems(sz);
+    std::vector<std::uint64_t> e;
+    for (std::size_t i = 0; i < n; ++i)
+      e.push_back((0x0123'4567'89ab'cdefull * (f + 1) + i) & mask);
+    sent.push_back(std::move(e));
+  }
+  std::vector<Frame> got;
+  spawn([](Producer& p, ElemSize sz,
+           const std::vector<std::vector<std::uint64_t>>* in) -> Co<void> {
+    for (const auto& e : *in) co_await p.enqueue(e, sz);
+  }(prod, sz, &sent));
+  spawn([](Consumer& c, std::size_t n, std::vector<Frame>* out) -> Co<void> {
+    co_await c.thread().compute(20000);  // the device buffer fills first
+    for (std::size_t i = 0; i < n; ++i) {
+      out->push_back(co_await c.dequeue());
+      co_await c.thread().compute(300);
+    }
+  }(cons, sent.size(), &got));
+  m.run();
+  EXPECT_GT(prod.retries(), 0u);
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t f = 0; f < sent.size(); ++f) {
+    EXPECT_EQ(got[f].size, sz) << "frame " << f;
+    EXPECT_EQ(got[f].elems, sent[f]) << "frame " << f;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, FrameSizes,
@@ -132,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(AllSizes, FrameSizes,
                          });
 
 TEST(Fig10Codec, MixedSizeStreamDecodes) {
-  // A producer interleaving frame sizes; the consumer's dequeue_frame must
+  // A producer interleaving frame sizes; the consumer's dequeue must
   // decode each frame with its own size code.
   Machine m;
   VlQueueLib lib(m);
@@ -145,13 +188,13 @@ TEST(Fig10Codec, MixedSizeStreamDecodes) {
     const std::uint64_t halves[2] = {0xaaaa, 0xbbbb};
     const std::uint64_t words[2] = {0xdeadbeef, 0xcafef00d};
     const std::uint64_t dwords[1] = {0x0123456789abcdefull};
-    co_await p.enqueue_elems(ElemSize::kByte, {bytes, 3});
-    co_await p.enqueue_elems(ElemSize::kHalf, {halves, 2});
-    co_await p.enqueue_elems(ElemSize::kWord, {words, 2});
-    co_await p.enqueue_elems(ElemSize::kDword, {dwords, 1});
+    co_await p.enqueue({bytes, 3}, ElemSize::kByte);
+    co_await p.enqueue({halves, 2}, ElemSize::kHalf);
+    co_await p.enqueue({words, 2}, ElemSize::kWord);
+    co_await p.enqueue({dwords, 1}, ElemSize::kDword);
   }(prod));
   spawn([](Consumer& c, std::vector<Frame>* out) -> Co<void> {
-    for (int i = 0; i < 4; ++i) out->push_back(co_await c.dequeue_frame());
+    for (int i = 0; i < 4; ++i) out->push_back(co_await c.dequeue());
   }(cons, &got));
   m.run();
   ASSERT_EQ(got.size(), 4u);
@@ -174,10 +217,10 @@ TEST(Fig10Codec, ValuesTruncateToElementWidth) {
   Frame got;
   spawn([](Producer& p) -> Co<void> {
     const std::uint64_t big[1] = {0x1234'5678'9abc'deffull};
-    co_await p.enqueue_elems(ElemSize::kByte, {big, 1});
+    co_await p.enqueue({big, 1}, ElemSize::kByte);
   }(prod));
   spawn([](Consumer& c, Frame* out) -> Co<void> {
-    *out = co_await c.dequeue_frame();
+    *out = co_await c.dequeue();
   }(cons, &got));
   m.run();
   ASSERT_EQ(got.elems.size(), 1u);

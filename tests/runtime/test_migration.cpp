@@ -54,7 +54,7 @@ TEST(Migration, ConsumerMigrationMidWaitLosesNothing) {
   spawn([](Consumer& c, Producer& p, Machine& m, std::uint64_t* out)
             -> Co<void> {
     // Register demand; nothing is available yet, so the probe fails.
-    auto miss = co_await c.try_dequeue(/*poll_budget=*/4);
+    auto miss = co_await c.try_dequeue_once();
     EXPECT_FALSE(miss.has_value());
     // Migrate to core 6, *then* let the producer push.
     c.migrate(m.thread_on(6));
@@ -80,7 +80,7 @@ TEST(Migration, SameCoreMigrationKeepsPushableArmed) {
   std::uint64_t got = 0;
   spawn([](Consumer& c, Producer& p, Machine& m, std::uint64_t* out)
             -> Co<void> {
-    auto miss = co_await c.try_dequeue(4);
+    auto miss = co_await c.try_dequeue_once();
     EXPECT_FALSE(miss.has_value());
     c.migrate(m.thread_on(5));  // same core, new tid
     co_await p.enqueue1(7);

@@ -1,5 +1,6 @@
 // End-to-end tests of the user-space VL queue library (§ III-C3/III-D),
-// including the Fig. 10 control-region codec and M:N channel semantics.
+// including the Fig. 10 control-region codec, M:N channel semantics, the
+// one producer path shared with VlChannel, and endpoint/SQI exhaustion.
 
 #include "runtime/vl_queue.hpp"
 
@@ -7,6 +8,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+
+#include "squeue/vl_channel.hpp"
 
 namespace vl::runtime {
 namespace {
@@ -66,7 +71,7 @@ TEST_F(VlQueueFixture, BatchedMessagePreservesOrderAndCount) {
     co_await p.enqueue(words);
   }(prod));
   spawn([](Consumer& c, std::vector<std::uint64_t>* out) -> Co<void> {
-    *out = co_await c.dequeue();
+    *out = (co_await c.dequeue()).elems;
   }(cons, &got));
   m.run();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{10, 20, 30, 40, 50, 60, 70}));
@@ -214,11 +219,156 @@ TEST_F(VlQueueFixture, TryDequeueReturnsNulloptWhenEmpty) {
   auto cons = lib.make_consumer(q, m.thread_on(1));
   bool got_value = true;
   spawn([](Consumer& c, bool* got) -> Co<void> {
-    auto v = co_await c.try_dequeue(/*poll_budget=*/4);
+    auto v = co_await c.try_dequeue_once();
     *got = v.has_value();
   }(cons, &got_value));
   m.run();
   EXPECT_FALSE(got_value);
+}
+
+// A library enqueue1 and a channel send1 are the same staged burst of one
+// through Producer::enqueue_burst: under the same NACK flood (40 messages
+// into a 4-entry prodBuf, slow consumer) both fire the same events, NACK
+// the same pushes, finish on the same tick and deliver in the same order.
+TEST(VlProducerPath, LibraryEnqueueMatchesChannelSend) {
+  struct Outcome {
+    std::uint64_t events = 0;
+    std::uint64_t nacks = 0;
+    Tick ticks = 0;
+    std::vector<std::uint64_t> order;
+  };
+  constexpr int kMsgs = 40;
+  constexpr Tick kService = 500;
+  sim::SystemConfig cfg;
+  cfg.vlrd.prod_entries = 4;
+  const auto finish = [](Machine& m, Outcome& o) {
+    o.events = m.eq().executed();
+    o.nacks = m.vlrd_stats().push_nacks;
+    o.ticks = m.now();
+  };
+
+  Outcome lib_side;
+  {
+    Machine m(cfg);
+    VlQueueLib lib(m);
+    const QueueHandle q = lib.open("diff");
+    auto prod = lib.make_producer(q, m.thread_on(0));
+    auto cons = lib.make_consumer(q, m.thread_on(1));
+    spawn([](Producer& p) -> Co<void> {
+      for (std::uint64_t i = 0; i < kMsgs; ++i) co_await p.enqueue1(i);
+    }(prod));
+    spawn([](Consumer& c, std::vector<std::uint64_t>* out) -> Co<void> {
+      for (int i = 0; i < kMsgs; ++i) {
+        out->push_back(co_await c.dequeue1());
+        co_await c.thread().compute(kService);
+      }
+    }(cons, &lib_side.order));
+    m.run();
+    finish(m, lib_side);
+  }
+
+  Outcome chan_side;
+  {
+    Machine m(cfg);
+    VlQueueLib lib(m);
+    squeue::VlChannel ch(lib, "diff");
+    spawn([](squeue::Channel& c, SimThread t) -> Co<void> {
+      for (std::uint64_t i = 0; i < kMsgs; ++i) co_await c.send1(t, i);
+    }(ch, m.thread_on(0)));
+    spawn([](squeue::Channel& c, SimThread t,
+             std::vector<std::uint64_t>* out) -> Co<void> {
+      for (int i = 0; i < kMsgs; ++i) {
+        out->push_back(co_await c.recv1(t));
+        co_await t.compute(kService);
+      }
+    }(ch, m.thread_on(1), &chan_side.order));
+    m.run();
+    finish(m, chan_side);
+  }
+
+  ASSERT_EQ(lib_side.order.size(), static_cast<std::size_t>(kMsgs));
+  for (int i = 0; i < kMsgs; ++i)
+    EXPECT_EQ(lib_side.order[i], static_cast<std::uint64_t>(i));
+  EXPECT_GT(lib_side.nacks, 0u);  // the flood really back-pressured
+  EXPECT_EQ(lib_side.events, chan_side.events);
+  EXPECT_EQ(lib_side.nacks, chan_side.nacks);
+  EXPECT_EQ(lib_side.ticks, chan_side.ticks);
+  EXPECT_EQ(lib_side.order, chan_side.order);
+}
+
+// A blocking burst longer than the device's prodBuf: after a full-buffer
+// NACK the producer waits for at most one prodBuf of space credits, since
+// only lines draining from the full buffer grant them.
+TEST(VlProducerPath, BurstLongerThanProdBufCompletes) {
+  constexpr int kBursts = 4, kPer = 8;
+  sim::SystemConfig cfg;
+  cfg.vlrd.prod_entries = 4;
+  Machine m(cfg);
+  VlQueueLib lib(m);
+  squeue::VlChannel ch(lib, "burst");
+  std::vector<std::uint64_t> got;
+  spawn([](squeue::Channel& c, SimThread t) -> Co<void> {
+    std::vector<squeue::Msg> run(kPer);
+    for (int b = 0; b < kBursts; ++b) {
+      for (int i = 0; i < kPer; ++i) run[i] = squeue::Msg::one(b * kPer + i);
+      co_await c.send_many(t, run);
+    }
+  }(ch, m.thread_on(0)));
+  spawn([](squeue::Channel& c, SimThread t,
+           std::vector<std::uint64_t>* out) -> Co<void> {
+    for (int i = 0; i < kBursts * kPer; ++i) {
+      out->push_back(co_await c.recv1(t));
+      co_await t.compute(50);
+    }
+  }(ch, m.thread_on(1), &got));
+  m.eq().run_until(1'000'000);  // the consumer polls forever if stuck
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kBursts * kPer));
+  for (int i = 0; i < kBursts * kPer; ++i)
+    EXPECT_EQ(got[i], static_cast<std::uint64_t>(i));
+}
+
+// A page holds 64 endpoints and a device 64 SQIs (Fig. 9). Running out
+// throws and names the queue; an endpoint never aliases another queue's.
+TEST(VlQueueLimits, ExhaustionThrowsNamingTheQueue) {
+  Machine m;  // one routing device
+  VlQueueLib lib(m);
+  const QueueHandle q0 = lib.open("q0");
+  const QueueHandle q1 = lib.open("q1");
+  std::vector<Producer> prods;
+  std::vector<Consumer> cons;
+  for (int i = 0; i < 64; ++i) {
+    prods.push_back(lib.make_producer(q1, m.thread_on(0)));
+    cons.push_back(lib.make_consumer(q1, m.thread_on(1)));
+  }
+  const auto names = [](const std::length_error& e, const std::string& q) {
+    return std::string(e.what()).find("'" + q + "'") != std::string::npos;
+  };
+  try {
+    auto extra = lib.make_producer(q1, m.thread_on(2));
+    spawn([](Producer& p) -> Co<void> { co_await p.enqueue1(7); }(extra));
+    m.run();
+    ADD_FAILURE() << "65th producer on q1 was granted endpoint 0x"
+                  << std::hex << extra.endpoint_va();
+  } catch (const std::length_error& e) {
+    EXPECT_TRUE(names(e, "q1")) << e.what();
+  }
+  EXPECT_EQ(m.vlrd().queued_data(q0.sqi), 0u);  // nothing misrouted
+  EXPECT_EQ(m.vlrd().queued_data(q1.sqi), 0u);
+  try {
+    auto extra = lib.make_consumer(q1, m.thread_on(2));
+    ADD_FAILURE() << "65th consumer on q1 was granted endpoint 0x"
+                  << std::hex << extra.endpoint_va();
+  } catch (const std::length_error& e) {
+    EXPECT_TRUE(names(e, "q1")) << e.what();
+  }
+
+  for (int i = 2; i < 64; ++i) lib.open("fill" + std::to_string(i));
+  try {
+    const QueueHandle over = lib.open("over");
+    ADD_FAILURE() << "65th queue on one device got SQI " << over.sqi;
+  } catch (const std::length_error& e) {
+    EXPECT_TRUE(names(e, "over")) << e.what();
+  }
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// Awaitable synchronization primitive tests: barrier phase semantics,
-// semaphore FIFO handoff and bounding, event broadcast including
-// late-arriving waiters, and the WaitQueue simulated futex (FIFO wake
-// order, epoch-closed lost-wakeup window, concurrent park/wake).
+// Awaitable synchronization primitive tests: barrier phase semantics and
+// the WaitQueue simulated futex (FIFO wake order, epoch-closed lost-wakeup
+// window, concurrent park/wake).
 
 #include "sim/sync.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -67,100 +65,6 @@ TEST(Barrier, LastArriverDoesNotSuspend) {
   eq.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(bar.generations(), 2u);
-}
-
-TEST(Semaphore, BoundsConcurrency) {
-  EventQueue eq;
-  Semaphore sem(eq, 2);
-  int in_flight = 0, max_in_flight = 0, completed = 0;
-  for (int i = 0; i < 6; ++i) {
-    spawn([](EventQueue& eq, Semaphore& s, int* in, int* maxin,
-             int* done) -> Co<void> {
-      co_await s.acquire();
-      ++*in;
-      *maxin = std::max(*maxin, *in);
-      co_await Delay(eq, 50);
-      --*in;
-      ++*done;
-      s.release();
-    }(eq, sem, &in_flight, &max_in_flight, &completed));
-  }
-  eq.run();
-  EXPECT_EQ(completed, 6);
-  EXPECT_EQ(max_in_flight, 2);
-  EXPECT_EQ(sem.count(), 2u);
-}
-
-TEST(Semaphore, FifoHandoff) {
-  EventQueue eq;
-  Semaphore sem(eq, 0);
-  std::vector<int> order;
-  for (int i = 0; i < 3; ++i) {
-    spawn([](Semaphore& s, int id, std::vector<int>* order) -> Co<void> {
-      co_await s.acquire();
-      order->push_back(id);
-    }(sem, i, &order));
-  }
-  eq.run();
-  EXPECT_TRUE(order.empty());  // nothing released yet
-  EXPECT_EQ(sem.queue_length(), 3u);
-  for (int i = 0; i < 3; ++i) sem.release();
-  eq.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sem.count(), 0u);  // permits handed to waiters, never pooled
-}
-
-TEST(Event, BroadcastsToAllWaiters) {
-  EventQueue eq;
-  Event ev(eq);
-  int released = 0;
-  for (int i = 0; i < 4; ++i) {
-    spawn([](Event& e, int* released) -> Co<void> {
-      co_await e.wait();
-      ++*released;
-    }(ev, &released));
-  }
-  eq.run();
-  EXPECT_EQ(released, 0);
-  ev.set();
-  eq.run();
-  EXPECT_EQ(released, 4);
-}
-
-TEST(Event, LateWaiterPassesThrough) {
-  EventQueue eq;
-  Event ev(eq);
-  ev.set();
-  ev.set();  // idempotent
-  bool done = false;
-  spawn([](Event& e, bool* done) -> Co<void> {
-    co_await e.wait();
-    *done = true;
-  }(ev, &done));
-  eq.run();
-  EXPECT_TRUE(done);
-}
-
-TEST(Event, StartGunAlignsThreads) {
-  // The common harness idiom: spawn threads that all block on the event,
-  // then set() it — every thread observes the same start tick.
-  EventQueue eq;
-  Event go(eq);
-  std::vector<Tick> starts;
-  for (int i = 0; i < 3; ++i) {
-    spawn([](EventQueue& eq, Event& go, std::vector<Tick>* starts,
-             int id) -> Co<void> {
-      co_await Delay(eq, static_cast<Tick>(id * 7));  // stagger arrivals
-      co_await go.wait();
-      starts->push_back(eq.now());
-    }(eq, go, &starts, i));
-  }
-  eq.run_until(100);
-  go.set();
-  eq.run();
-  ASSERT_EQ(starts.size(), 3u);
-  EXPECT_EQ(starts[0], starts[1]);
-  EXPECT_EQ(starts[1], starts[2]);
 }
 
 TEST(WaitQueue, WakeOneReleasesInFifoOrder) {
