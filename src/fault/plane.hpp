@@ -83,7 +83,6 @@ class FaultPlane {
   /// Any loss/dup events in the spec at all (engines gate the per-message
   /// hook on this and on the backend being a software one).
   bool mutates_channels() const { return chan_events_; }
-  bool has_flash() const { return flash_events_; }
 
   /// Apply the tick-`now` link-fault table to the sharded sim. Call ONLY
   /// from the barrier hook (single-threaded, shards aligned). Emits one

@@ -7,8 +7,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
-
 namespace vl::mem {
 
 struct MemStats {
@@ -46,25 +44,6 @@ struct MemStats {
     d.inject_rejects = inject_rejects - base.inject_rejects;
     d.device_writes = device_writes - base.device_writes;
     return d;
-  }
-
-  StatSet to_statset() const {
-    StatSet s;
-    s.add("l1_hits", l1_hits);
-    s.add("l1_misses", l1_misses);
-    s.add("llc_hits", llc_hits);
-    s.add("llc_misses", llc_misses);
-    s.add("snoops", snoops);
-    s.add("invalidations", invalidations);
-    s.add("upgrades", upgrades);
-    s.add("c2c_transfers", c2c_transfers);
-    s.add("writebacks", writebacks);
-    s.add("dram_reads", dram_reads);
-    s.add("dram_writes", dram_writes);
-    s.add("injections", injections);
-    s.add("inject_rejects", inject_rejects);
-    s.add("device_writes", device_writes);
-    return s;
   }
 };
 

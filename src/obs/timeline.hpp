@@ -38,8 +38,6 @@ class Timeline {
   /// in every epoch (deterministic output).
   void add_series(std::string name, std::function<double()> fn);
 
-  std::size_t series_count() const { return series_.size(); }
-
   /// Evaluate every series at simulated time `tick` and append an epoch.
   void sample(Tick tick);
 

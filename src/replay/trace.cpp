@@ -171,6 +171,11 @@ Trace Trace::parse_binary(const std::string& bytes) {
   if (p >= bytes.size()) throw std::invalid_argument("trace: truncated");
   t.sharded = bytes[p++] != 0;
   const std::uint64_t n = get_u64(bytes, p);
+  // A record is 22 bytes (tick 8, tenant/pid/class/words 6, dst 8): a count
+  // the remaining bytes cannot hold is rejected before it sizes anything.
+  if (n > (bytes.size() - p) / 22)
+    throw std::invalid_argument("trace: record count " + std::to_string(n) +
+                                " exceeds the file");
   t.records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     TraceRecord r;

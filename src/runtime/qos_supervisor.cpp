@@ -102,7 +102,7 @@ void QosSupervisor::on_epoch(const obs::Timeline& tl) {
   const double blocked = tl.last("class.latency.blocked_ticks");
   const double d_del = delivered - prev_delivered_;
   const double d_within = within - prev_within_;
-  d_blocked_ = blocked - prev_blocked_;
+  const double d_blocked = blocked - prev_blocked_;
   prev_delivered_ = delivered;
   prev_within_ = within;
   prev_blocked_ = blocked;
@@ -123,10 +123,10 @@ void QosSupervisor::on_epoch(const obs::Timeline& tl) {
   // Blocked-ticks spike: sudden queueing ahead of the latency class is a
   // leading indicator — react before the attainment window even closes.
   if (!violation && epochs_ > 1 && blocked_ewma_ >= 1.0 &&
-      d_blocked_ > cfg_.blocked_spike * blocked_ewma_)
+      d_blocked > cfg_.blocked_spike * blocked_ewma_)
     violation = true;
-  blocked_ewma_ = epochs_ == 1 ? d_blocked_
-                               : (3.0 * blocked_ewma_ + d_blocked_) / 4.0;
+  blocked_ewma_ = epochs_ == 1 ? d_blocked
+                               : (3.0 * blocked_ewma_ + d_blocked) / 4.0;
 
   if (violation) {
     ++violations_;

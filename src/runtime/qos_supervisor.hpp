@@ -133,22 +133,18 @@ class QosSupervisor {
   /// steps / at the sharded barrier.
   void on_epoch(const obs::Timeline& tl);
 
-  /// Apply the current weights to every attached machine (also called
-  /// from on_epoch; public so engines can force an initial actuation).
-  void actuate();
-
   double weight(QosClass c) const {
     return w_[static_cast<std::size_t>(c)];
   }
   std::uint64_t decreases() const { return decreases_; }
   std::uint64_t increases() const { return increases_; }
   std::uint64_t violations() const { return violations_; }
-  /// Latency-class blocked-ticks delta observed in the last epoch — the
-  /// SLO-aware pressure signal the sharded rebalancer folds into its
-  /// per-shard load estimate.
-  double last_blocked_delta() const { return d_blocked_; }
 
  private:
+  /// Apply the current weights to every attached machine (on_epoch calls
+  /// it on every weight change).
+  void actuate();
+
   struct Actuator {
     sim::SystemConfig cfg;
     ChannelDemand demand;
@@ -165,7 +161,6 @@ class QosSupervisor {
   // Previous-epoch cumulative readings (windowed deltas).
   double prev_delivered_ = 0, prev_within_ = 0, prev_blocked_ = 0;
   double acc_del_ = 0, acc_within_ = 0;  // pending (unjudged) window
-  double d_blocked_ = 0;
   double blocked_ewma_ = 0;
   int clean_epochs_ = 0;
   std::uint64_t decreases_ = 0, increases_ = 0, violations_ = 0;

@@ -93,7 +93,6 @@ class Supervisor {
   std::uint32_t num_devices() const {
     return static_cast<std::uint32_t>(sqi_used_.size());
   }
-  std::size_t page_count() const { return pages_.size(); }
 
  private:
   static constexpr std::uint32_t kPagesPerSqi = 32;

@@ -48,19 +48,4 @@ class AsyncMutex {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/// RAII-ish scope helper for coroutines (no exceptions cross co_await here,
-/// so explicit unlock order is deterministic).
-class AsyncLockGuard {
- public:
-  explicit AsyncLockGuard(AsyncMutex& m) : m_(&m) {}
-  AsyncLockGuard(const AsyncLockGuard&) = delete;
-  AsyncLockGuard& operator=(const AsyncLockGuard&) = delete;
-  ~AsyncLockGuard() {
-    if (m_) m_->unlock();
-  }
-
- private:
-  AsyncMutex* m_;
-};
-
 }  // namespace vl::sim

@@ -117,18 +117,6 @@ struct CafConfig {
   std::uint32_t class_credits[kQosClasses] = {0, 0, 0};
 };
 
-/// ZMQ-model retry/backoff knobs (squeue/zmq.cpp). The defaults reproduce
-/// the previously hard-coded constants bit-for-bit, so existing runs stay
-/// byte-identical; fault/supervisor experiments tighten or ablate them
-/// (e.g. jitter off re-exposes the deterministic phase-lock livelock the
-/// jitter exists to break).
-struct ZmqConfig {
-  Tick backoff_base = 8;            ///< Base lock-spin backoff (was kSpinBackoff).
-  std::uint32_t backoff_cap = 16;   ///< Jitter window modulus (attempt % cap).
-  bool backoff_jitter = true;       ///< Mix per-thread/per-attempt jitter in.
-  int lock_spin_rounds = 4;         ///< Bounded spin before parking.
-};
-
 struct SystemConfig {
   std::uint32_t num_cores = 16;
   double ns_per_tick = 0.5;  ///< 2 GHz.
@@ -136,7 +124,6 @@ struct SystemConfig {
   CacheConfig cache;
   VlrdConfig vlrd;
   CafConfig caf;
-  ZmqConfig zmq;
 
   static SystemConfig table3() { return SystemConfig{}; }
 

@@ -6,7 +6,7 @@
 namespace vl::squeue {
 
 namespace {
-constexpr Tick kEmptyBackoff = 32;
+constexpr Tick kEmptyBackoff = 32;  ///< Full-ring / empty-ring poll pause.
 constexpr Tick kContendedBackoff = 4;
 
 std::uint64_t pack_hdr(const Msg& msg) {
@@ -16,7 +16,7 @@ std::uint64_t pack_hdr(const Msg& msg) {
 }  // namespace
 
 SimBlfq::SimBlfq(runtime::Machine& m, std::size_t capacity)
-    : m_(m), cap_(capacity), mask_(capacity - 1) {
+    : Channel(kEmptyBackoff), m_(m), cap_(capacity), mask_(capacity - 1) {
   assert(capacity >= 2 && (capacity & (capacity - 1)) == 0);
   tail_ = m_.alloc(kLineSize);
   head_ = m_.alloc(kLineSize);
@@ -123,15 +123,6 @@ sim::Co<std::size_t> SimBlfq::try_recv_many(sim::SimThread t,
     got += c.n;
   }
   co_return got;
-}
-
-sim::Co<void> SimBlfq::send_blocked(sim::SimThread t, SendStatus,
-                                    BlockGates&, const Msg&) {
-  co_await t.compute(kEmptyBackoff);  // no wake source: poll the wrap
-}
-
-sim::Co<void> SimBlfq::recv_blocked(sim::SimThread t, std::uint64_t) {
-  co_await t.compute(kEmptyBackoff);
 }
 
 std::uint64_t SimBlfq::depth() const {

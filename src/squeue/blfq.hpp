@@ -15,7 +15,9 @@
 // back-pressure (it is node-based/unbounded in the paper); we size the ring
 // large enough that incast/FIR occupancy spills past the LLC exactly the
 // way the paper's Fig. 11c shows. If the ring does fill, producers poll —
-// by then the experiment's point has long been made.
+// by then the experiment's point has long been made. Neither side has a
+// wake source, so both blocked producers and blocked consumers poll the
+// ring at the base Channel policy, every kEmptyBackoff (32) ticks.
 //
 // Channel v2 batching: a producer claims a contiguous run of cells with a
 // single CAS on the shared tail (consumers likewise on the head). The
@@ -39,11 +41,6 @@ class SimBlfq : public Channel {
   sim::Co<std::size_t> try_recv_many(sim::SimThread t,
                                      std::span<Msg> out) override;
   std::uint64_t depth() const override;
-
- protected:
-  sim::Co<void> send_blocked(sim::SimThread t, SendStatus,
-                             BlockGates&, const Msg&) override;
-  sim::Co<void> recv_blocked(sim::SimThread t, std::uint64_t) override;
 
  private:
   Addr cell_meta(std::uint64_t pos) const {

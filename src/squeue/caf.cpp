@@ -4,10 +4,6 @@
 
 namespace vl::squeue {
 
-namespace {
-constexpr Tick kRetryBackoff = 48;  ///< Empty-dequeue register-poll pause.
-}
-
 // Every device access is a register-granularity round trip: hold the issue
 // port, one bus hop out, device-side operation, bounded response.
 
@@ -138,13 +134,6 @@ sim::Co<std::size_t> SimCaf::try_recv_many(sim::SimThread t,
   }
   recv_mu_.unlock();
   co_return got;
-}
-
-sim::Co<void> SimCaf::recv_blocked(sim::SimThread t, std::uint64_t) {
-  // Empty queue: CAF's dequeue *is* a polling register read — the
-  // discovery latency Fig. 15 measures — so the consumer keeps polling on
-  // a fixed pause rather than parking.
-  co_await t.compute(kRetryBackoff);
 }
 
 }  // namespace vl::squeue

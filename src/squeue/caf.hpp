@@ -66,19 +66,13 @@ class CafDevice {
     return static_cast<std::uint32_t>(queues_.size() - 1);
   }
 
-  /// One 64-bit enqueue register write. False = out of credits — either
-  /// the queue's whole budget or the word's class cap.
+  /// One 64-bit enqueue register write: a one-word, one-frame enq_open().
+  /// False = out of credits — either the queue's whole budget or the
+  /// word's class cap.
   bool enq(std::uint32_t q, std::uint64_t v,
            QosClass cls = QosClass::kStandard) {
-    DevQueue& dq = *queues_.at(q);
-    const auto c = static_cast<std::size_t>(cls);
-    if (dq.data.size() + dq.reserved_total >= credits_) return false;
-    if (class_credits_[c] != 0 &&
-        dq.used[c] + dq.reserved[c] >= class_credits_[c])
-      return false;
-    dq.data.push_back({v, cls});
-    ++dq.used[c];
-    return true;
+    std::uint32_t granted = 0;
+    return enq_open(q, v, cls, 1, 1, &granted) == Grant::kOk;
   }
 
   /// Frame-open register write: atomically grants the credits for up to
@@ -251,7 +245,8 @@ class CafDevice {
 class SimCaf : public Channel {
  public:
   SimCaf(CafDevice& dev, std::uint8_t msg_words = 1, Tick device_lat = 14)
-      : dev_(dev),
+      : Channel(kRetryBackoff),
+        dev_(dev),
         q_(dev.open_queue()),
         words_(msg_words),
         lat_(device_lat),
@@ -286,9 +281,13 @@ class SimCaf : public Channel {
       co_await t.park(dev_.space_wq(q_), g.full);
     if (tb) tb->end(eq.now(), lane, "caf", "credit_wait");
   }
-  sim::Co<void> recv_blocked(sim::SimThread t, std::uint64_t) override;
 
  private:
+  /// Empty-dequeue register-poll pause. CAF's dequeue *is* a polling
+  /// register read — the discovery latency Fig. 15 measures — so a blocked
+  /// consumer polls at this interval rather than parking.
+  static constexpr Tick kRetryBackoff = 48;
+
   /// One frame-open device round trip (grant + first word).
   sim::Co<CafDevice::Grant> dev_open(sim::SimThread t, std::uint64_t v,
                                      QosClass cls, std::uint32_t max_frames,

@@ -28,13 +28,15 @@
 // sharer's demand armed where try_recv_many's lease releases it.
 //
 // Blocking send/recv/send_many/recv_many are thin wrappers over that core:
-// a retry loop around the attempt plus a backend-directed blocking policy
-// (send_blocked/recv_blocked) — park on the backend's futex where one
-// exists (ZMQ rings, CAF credits), poll where the paper says the backend
-// polls (BLFQ, the VL consumer's § III-B control-word discovery, CAF empty
-// dequeues). send is a one-element send_many. VL replaces send_many
-// outright: its lines are staged once and only the push retries, parked
-// on the quota futex or the space credit gate.
+// a retry loop around the attempt plus one blocking policy. A receive parks
+// on recv_wq() where the backend has one (ZMQ rings) and otherwise polls at
+// the backend's poll interval. That interval is constructor data: BLFQ's
+// ring poll, the VL consumer's § III-B control-word discovery and CAF's
+// empty-dequeue register poll differ only in that number. A send polls the
+// same way unless the backend parks it on its own futex (send_blocked: ZMQ
+// rings, CAF credits). send is a one-element send_many. VL replaces
+// send_many outright: its lines are staged once and only the push retries,
+// parked on the quota futex or the space credit gate.
 //
 // Wait-any/select over N channels lives in squeue/selector.hpp, built on
 // recv_wq() (the consumer-readiness futex, where the backend has one) and
@@ -151,8 +153,13 @@ class Channel {
   /// Consumer-readiness futex: woken when a message may have become
   /// receivable. nullptr for backends whose consumers discover data by
   /// polling (BLFQ, the VL § III-B control word, CAF register reads) —
-  /// Selector and the blocking wrappers then poll at kPollBackoff.
+  /// the blocking wrappers then poll at the backend's poll interval, and
+  /// Selector at kPollBackoff.
   virtual sim::WaitQueue* recv_wq() { return nullptr; }
+
+  /// The § III-B control-word poll interval: the default backend poll
+  /// interval and the Selector's poll cadence over futex-less channels.
+  static constexpr Tick kPollBackoff = 16;
 
   /// Consumer-side endpoint re-registration (the lifecycle plane's
   /// reconfig@ event): drop and re-arm whatever receive-side device state
@@ -163,10 +170,9 @@ class Channel {
   virtual bool reconfigure(sim::SimThread) { return false; }
 
   // --- blocking wrappers over the core -------------------------------------
-  // The receive side and send_many are virtual so instrumentation wrappers
-  // (LatencyChannel) can interpose; VL also replaces send_many with its
-  // stage-once/push-retry loop. Elsewhere the backend-specific part is only
-  // the blocking *policy* below.
+  // Only send_many is virtual, for VL's stage-once/push-retry loop.
+  // Elsewhere the backend-specific part is the poll interval and, for a
+  // backend that parks its senders, send_blocked below.
 
   /// Blocking send of one message: a one-element send_many.
   sim::Co<void> send(sim::SimThread t, Msg msg) {
@@ -174,7 +180,7 @@ class Channel {
   }
 
   /// Blocking receive of one message.
-  virtual sim::Co<Msg> recv(sim::SimThread t) {
+  sim::Co<Msg> recv(sim::SimThread t) {
     sim::EventQueue& eq = t.core->eq();
     obs::TraceBuffer* const tb = eq.trace();
     const std::uint32_t lane = obs::thread_tid(t.core->id(), t.tid);
@@ -215,8 +221,8 @@ class Channel {
   /// Blocking batched receive: waits until at least `min_n` messages were
   /// received (min_n >= 1, capped at out.size()), then keeps draining
   /// opportunistically — without further blocking — up to out.size().
-  virtual sim::Co<std::size_t> recv_many(sim::SimThread t, std::span<Msg> out,
-                                         std::size_t min_n = 1) {
+  sim::Co<std::size_t> recv_many(sim::SimThread t, std::span<Msg> out,
+                                 std::size_t min_n = 1) {
     if (out.empty()) co_return 0;
     if (min_n < 1) min_n = 1;
     if (min_n > out.size()) min_n = out.size();
@@ -246,6 +252,12 @@ class Channel {
   }
 
  protected:
+  /// `poll_interval`: ticks between attempts of a blocked wrapper that
+  /// polls (every receive without a recv_wq(), every send without a
+  /// send_blocked override).
+  explicit Channel(Tick poll_interval = kPollBackoff)
+      : poll_interval_(poll_interval) {}
+
   /// Wake epochs a blocking sender samples *before* its attempt, so a
   /// drain landing mid-attempt is never lost as a wakeup (the standard
   /// futex gate protocol).
@@ -281,34 +293,33 @@ class Channel {
     const std::uint32_t lane_;
   };
 
-  /// Default blocking-policy backoff for polling backends, and the
-  /// Selector's poll cadence over futex-less channels. Matches the VL
-  /// consumer's control-word poll interval.
-  static constexpr Tick kPollBackoff = 16;
-
   /// The message is passed so a class-aware backend (CAF class caps) can
   /// sample / park on its per-class credit futex.
   virtual void sample_send_gates(BlockGates&, const Msg&) {}
-  virtual std::uint64_t sample_recv_gate() {
+
+  /// Applied when a blocking send's attempt refused: park on the right
+  /// backend futex, or poll. Default: poll.
+  virtual sim::Co<void> send_blocked(sim::SimThread t, SendStatus,
+                                     BlockGates&, const Msg&) {
+    co_await t.compute(poll_interval_);
+  }
+
+ private:
+  std::uint64_t sample_recv_gate() {
     sim::WaitQueue* wq = recv_wq();
     return wq ? wq->epoch() : 0;
   }
 
-  /// Applied when a blocking send's attempt refused: park on the right
-  /// backend futex, or poll. Default: plain poll backoff.
-  virtual sim::Co<void> send_blocked(sim::SimThread t, SendStatus,
-                                     BlockGates&, const Msg&) {
-    co_await t.compute(kPollBackoff);
-  }
-
-  /// Applied when a blocking receive's attempt found nothing. Default:
-  /// park on recv_wq() when the backend has one, else poll.
-  virtual sim::Co<void> recv_blocked(sim::SimThread t, std::uint64_t gate) {
+  /// Applied when a blocking receive's attempt found nothing: park on
+  /// recv_wq() when the backend has one, else poll.
+  sim::Co<void> recv_blocked(sim::SimThread t, std::uint64_t gate) {
     if (sim::WaitQueue* wq = recv_wq())
       co_await t.park(*wq, gate);
     else
-      co_await t.compute(kPollBackoff);
+      co_await t.compute(poll_interval_);
   }
+
+  Tick poll_interval_;
 };
 
 }  // namespace vl::squeue

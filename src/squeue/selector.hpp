@@ -12,9 +12,9 @@
 //     publish landing mid-probe falls through the park (no lost wakeup).
 //     A parked selector costs zero events while blocked.
 //   * Otherwise (VL's § III-B control-word discovery, CAF/BLFQ register or
-//     ring polling) it polls the whole set at the backends' discovery
-//     cadence — one bounded pass per interval instead of N independent
-//     spinning consumers.
+//     ring polling) it polls the whole set every Channel::kPollBackoff
+//     ticks, the § III-B discovery interval — one bounded pass per
+//     interval instead of N independent spinning consumers.
 //
 // Wake handling is deterministic: probes always scan from the slot after
 // the last served endpoint (rotating fairness), so two identical runs
@@ -78,7 +78,7 @@ class Selector {
       if (all_parkable)
         co_await t.park_any(wqs_, gates_);
       else
-        co_await t.compute(kPollInterval);
+        co_await t.compute(Channel::kPollBackoff);
     }
   }
 
@@ -94,10 +94,6 @@ class Selector {
   }
 
  private:
-  /// Poll cadence when any endpoint lacks a readiness futex — the VL
-  /// consumer's control-word discovery interval.
-  static constexpr Tick kPollInterval = 16;
-
   std::vector<Channel*> chans_;
   std::size_t next_ = 0;  ///< Rotating probe start (fairness).
   // Scratch for the park pass (avoids per-block reallocation).

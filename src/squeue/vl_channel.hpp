@@ -70,8 +70,9 @@ class VlChannel : public Channel {
   bool reconfigure(sim::SimThread t) override;
 
  private:
-  // recv_blocked: inherited poll at kPollBackoff — the § III-B control-word
-  // discovery interval; the VLRD does not wake consumers.
+  // A blocked receive polls at the base Channel's default interval,
+  // kPollBackoff — the § III-B control-word discovery interval; the VLRD
+  // does not wake consumers.
   using Key = std::pair<CoreId, int>;  // (core, tid)
   runtime::Producer& producer_for(sim::SimThread t);
   runtime::Consumer& consumer_for(sim::SimThread t);

@@ -12,20 +12,19 @@ namespace {
 // a livelock no real machine exhibits, because real timing noise breaks the
 // phase. Mix a per-thread, per-attempt jitter into the lock-spin backoff to
 // restore that asymmetry deterministically. (Empty/full waits no longer
-// spin at all — they park on the channel's WaitQueues.) Base, cap, and the
-// jitter switch come from SystemConfig::zmq; the defaults reproduce the
-// pre-config constants bit-for-bit.
-Tick jitter(const sim::SimThread& t, std::uint32_t attempt,
-            const sim::ZmqConfig& cfg) {
-  if (!cfg.backoff_jitter) return cfg.backoff_base;
+// spin at all — they park on the channel's WaitQueues.)
+constexpr Tick kSpinBackoff = 8;          ///< Base lock-spin backoff.
+constexpr std::uint32_t kJitterCap = 16;  ///< Jitter window modulus.
+constexpr int kLockSpinRounds = 4;        ///< Bounded spin before parking.
+
+Tick jitter(const sim::SimThread& t, std::uint32_t attempt) {
   std::uint32_t h = static_cast<std::uint32_t>(t.core->id()) * 2654435761u ^
                     static_cast<std::uint32_t>(t.tid) * 40503u ^
                     attempt * 2246822519u;
   h ^= h >> 15;
-  const std::uint32_t cap = cfg.backoff_cap ? cfg.backoff_cap : 1;
-  return cfg.backoff_base +
-         (h % (static_cast<std::uint32_t>(cfg.backoff_base) + attempt % cap +
-               1));
+  const auto window =
+      static_cast<std::uint32_t>(kSpinBackoff) + attempt % kJitterCap + 1;
+  return kSpinBackoff + h % window;
 }
 
 std::uint64_t pack_hdr(const Msg& msg) {
@@ -47,13 +46,12 @@ sim::Co<void> SimZmq::lock(sim::SimThread t) {
   // Bounded lock spin before parking (adaptive-mutex discipline): short
   // holds are still grabbed out of the spin and generate the shared-line
   // traffic Fig. 13 measures; long waits park and cost O(1) events.
-  const sim::ZmqConfig& zc = m_.cfg().zmq;
   for (std::uint32_t attempt = 0;;) {
     if (co_await t.cas64(lock_, 0, 1)) co_return;
     // Test-and-test-and-set: spin on a local (Shared) copy, bounded.
     bool saw_free = false;
-    for (int spin = 0; spin < zc.lock_spin_rounds && !saw_free; ++spin) {
-      co_await t.compute(jitter(t, ++attempt, zc));
+    for (int spin = 0; spin < kLockSpinRounds && !saw_free; ++spin) {
+      co_await t.compute(jitter(t, ++attempt));
       saw_free = co_await t.load(lock_, 8) == 0;
     }
     if (saw_free) continue;

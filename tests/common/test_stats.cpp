@@ -44,5 +44,42 @@ TEST(Geomean, MatchesHandComputation) {
   EXPECT_EQ(geomean({}), 0.0);
 }
 
+TEST(Samples, PercentilesNearestRank) {
+  Samples s;
+  for (int i = 1; i <= 100; ++i) s.record(i);
+  EXPECT_EQ(s.percentile(50), 50.0);
+  EXPECT_EQ(s.percentile(99), 99.0);
+  EXPECT_EQ(s.percentile(100), 100.0);
+  EXPECT_EQ(s.percentile(0), 1.0);
+  EXPECT_EQ(s.percentile(1), 1.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
+  EXPECT_EQ(s.count(), 100u);
+}
+
+TEST(Samples, SingleSampleIsEveryPercentile) {
+  Samples s;
+  s.record(42.0);
+  EXPECT_EQ(s.percentile(1), 42.0);
+  EXPECT_EQ(s.median(), 42.0);
+  EXPECT_EQ(s.percentile(99), 42.0);
+}
+
+TEST(Samples, RecordAfterSortingStillExact) {
+  Samples s;
+  s.record(3);
+  s.record(1);
+  EXPECT_EQ(s.median(), 1.0);  // nearest-rank of {1,3} at p50 -> rank 1
+  s.record(2);                 // triggers resort on next query
+  EXPECT_EQ(s.median(), 2.0);
+  EXPECT_EQ(s.percentile(100), 3.0);
+}
+
+TEST(Samples, EmptyIsZero) {
+  Samples s;
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.mean(), 0.0);
+  EXPECT_EQ(s.percentile(50), 0.0);
+}
+
 }  // namespace
 }  // namespace vl

@@ -63,6 +63,28 @@ TEST(Trace, MalformedInputsThrow) {
   EXPECT_THROW(Trace::load("/nonexistent/trace.csv"), std::invalid_argument);
 }
 
+TEST(Trace, RecordCountBeyondFileThrows) {
+  // A header with no records whose count field claims more records than
+  // the file holds must be rejected, not sized into a huge reserve().
+  Trace t = sample_trace();
+  t.records.clear();
+  const std::string header = t.binary();
+  for (const int shift : {36, 62}) {
+    std::string bin = header.substr(0, header.size() - 8);
+    for (int i = 0; i < 8; ++i)
+      bin.push_back(static_cast<char>((std::uint64_t{1} << shift) >> (8 * i)));
+    try {
+      (void)Trace::parse_binary(bin);
+      ADD_FAILURE() << "count 2^" << shift << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    std::to_string(std::uint64_t{1} << shift)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Trace, SaveLoadPicksFormatByExtension) {
   const Trace t = sample_trace();
   const std::string csv_path = ::testing::TempDir() + "trace_rt.csv";
