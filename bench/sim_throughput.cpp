@@ -92,9 +92,11 @@ const RunSpec kDefaultMatrix[] = {
     // the QoS supervisor forced off (static quotas), the "(sup)" row with
     // the closed-loop AIMD controller re-carving quotas each epoch. The
     // lat_p99 column is the latency class's p99; bench_gate --expect-gain
-    // pins the supervisor's latency win against the static sibling.
+    // pins the supervisor's latency win against the static sibling. The CAF
+    // "(sup)" row holds the supervisor's credit-cap path exactly as well.
     {"qos-adversarial-bulk", Backend::kVl},
     {"qos-adversarial-bulk", Backend::kVl, 0, 0, false, true},
+    {"qos-adversarial-bulk", Backend::kCaf, 0, 0, false, true},
     // Collective workloads on the bsp::World layer ("wl-" prefix drives the
     // workload registry instead of a traffic scenario, at internal scale
     // 4x).

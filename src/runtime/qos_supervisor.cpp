@@ -95,11 +95,12 @@ void QosSupervisor::actuate() {
   }
 }
 
-void QosSupervisor::on_epoch(const obs::Timeline& tl) {
+void QosSupervisor::on_epoch(const LatencyCounters& c) {
   ++epochs_;
-  const double delivered = tl.last("class.latency.delivered");
-  const double within = tl.last("class.latency.slo_within");
-  const double blocked = tl.last("class.latency.blocked_ticks");
+  // Integer counts below 2^53: exact as doubles.
+  const auto delivered = static_cast<double>(c.delivered);
+  const auto within = static_cast<double>(c.slo_within);
+  const auto blocked = static_cast<double>(c.blocked_ticks);
   const double d_del = delivered - prev_delivered_;
   const double d_within = within - prev_within_;
   const double d_blocked = blocked - prev_blocked_;

@@ -18,8 +18,8 @@
 //   * QosSupervisor — the closed loop. Invoked at epoch boundaries (a
 //     single node's sampling loop, a shard mesh's lookahead
 //     barrier — both between event-queue steps, where knob mutation is
-//     safe by construction), it reads the epoch's obs::Timeline cut of the
-//     latency class (windowed SLO attainment, blocked-ticks trend) and
+//     safe by construction), it reads the latency class's cumulative
+//     counters (windowed SLO attainment, blocked-ticks trend) and
 //     AIMD-adjusts the class weights: multiplicative decrease of the
 //     bulk-side weights when the latency class misses its windowed SLO
 //     target or its blocked_ticks spike, additive increase back toward the
@@ -28,9 +28,10 @@
 //     epoch-boundary-safe knobs (Cluster::set_class_quota,
 //     CafDevice::set_class_credit).
 //
-// The supervisor reads *only* timeline series the engine already publishes
-// ("class.latency.delivered" / "slo_within" / "blocked_ticks"), so its
-// decisions are a pure function of the sampled cut — deterministic across
+// The supervisor reads *only* three cumulative counters of the latency
+// class — delivered, slo_within and blocked_ticks, summed over every
+// node's latency-class tenant rows by the caller — so its decisions are a
+// pure function of those counts at each boundary: deterministic across
 // runs and across sequential/threaded sharded stepping.
 
 #include <cstdint>
@@ -82,6 +83,15 @@ QuotaPlan size_quotas(const sim::SystemConfig& cfg, const ChannelDemand& d);
 /// Base AIMD weights for a demand: qos_weight() for present classes.
 void base_weights(ChannelDemand& d, const bool present[kQosClasses]);
 
+/// The latency class's cumulative counters at an epoch boundary, summed
+/// over every node's latency-class tenant rows (all zero when the class is
+/// absent).
+struct LatencyCounters {
+  std::uint64_t delivered = 0;
+  std::uint64_t slo_within = 0;  ///< Deliveries within the tenant's SLO.
+  std::uint64_t blocked_ticks = 0;
+};
+
 class QosSupervisor {
  public:
   struct Config {
@@ -128,10 +138,10 @@ class QosSupervisor {
   /// per-epoch weight vector.
   void register_series(obs::Timeline& tl);
 
-  /// One control epoch: read the latest cut in `tl` (sample() must have
-  /// run), decide, and actuate on change. Call only between event-queue
-  /// steps / at the sharded barrier.
-  void on_epoch(const obs::Timeline& tl);
+  /// One control epoch: difference `c` against the previous epoch's
+  /// counters, decide, and actuate on change. Call only between
+  /// event-queue steps / at the sharded barrier.
+  void on_epoch(const LatencyCounters& c);
 
   double weight(QosClass c) const {
     return w_[static_cast<std::size_t>(c)];

@@ -22,7 +22,7 @@ void EventQueue::push_far(Node* n) {
   std::push_heap(far_.begin(), far_.end(), FarAfter{});
 }
 
-std::optional<Tick> EventQueue::next_ring_tick() const {
+Tick EventQueue::next_ring_tick() const {
   const std::size_t start = now_ & kRingMask;
   // Ring order starting at `start` and wrapping equals tick order, because
   // only ticks in [now, now + kRingSize) can be resident.
@@ -38,7 +38,7 @@ std::optional<Tick> EventQueue::next_ring_tick() const {
         (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
     return now_ + ((idx - start) & kRingMask);
   }
-  return std::nullopt;
+  return kNever;
 }
 
 void EventQueue::migrate_far(Tick t) {
@@ -62,10 +62,11 @@ void EventQueue::migrate_far(Tick t) {
   set_bit(t & kRingMask);
 }
 
-std::optional<Tick> EventQueue::peek_next_tick() const {
+Tick EventQueue::peek_next_tick() const {
   if (ring_[now_ & kRingMask].head) return now_;
-  const auto ring_next = next_ring_tick();
-  if (!far_.empty() && (!ring_next || far_.front()->when < *ring_next))
+  const Tick ring_next = next_ring_tick();
+  // kNever exceeds every real tick, so an empty ring loses to the heap.
+  if (!far_.empty() && far_.front()->when < ring_next)
     return far_.front()->when;
   return ring_next;
 }
@@ -102,9 +103,9 @@ void EventQueue::fire(Tick t) {
 }
 
 bool EventQueue::step() {
-  const auto t = peek_next_tick();
-  if (!t) return false;
-  fire(*t);
+  const Tick t = peek_next_tick();
+  if (t == kNever) return false;
+  fire(t);
   return true;
 }
 
@@ -116,9 +117,10 @@ std::uint64_t EventQueue::run(std::uint64_t limit) {
 
 void EventQueue::run_until(Tick t) {
   for (;;) {
-    const auto next = peek_next_tick();
-    if (!next || *next > t) break;
-    fire(*next);
+    const Tick next = peek_next_tick();
+    // kNever first: run_until(kNever) must still stop once drained.
+    if (next == kNever || next > t) break;
+    fire(next);
   }
   if (now_ < t) now_ = t;
 }

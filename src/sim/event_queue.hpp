@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -150,6 +149,9 @@ class EventFn {
 
 class EventQueue {
  public:
+  /// peek_next_tick() of an empty queue: a tick no event can hold.
+  static constexpr Tick kNever = ~Tick{0};
+
   EventQueue();
   // Nodes point into the queue's own pool, so a queue never moves.
   EventQueue(const EventQueue&) = delete;
@@ -196,9 +198,12 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
 
-  /// Earliest tick (>= now()) holding a pending event, or nullopt when the
-  /// queue is empty. Fires nothing.
-  std::optional<Tick> peek_next_tick() const;
+  /// Earliest tick (>= now()) holding a pending event, or kNever when the
+  /// queue is empty. Fires nothing. A plain Tick rather than an optional:
+  /// the optional's value and engaged flag are stored separately and
+  /// reloaded as one wide load, which stalls store forwarding on every
+  /// fired event.
+  Tick peek_next_tick() const;
 
   /// Total events executed over the queue's lifetime (throughput metric).
   std::uint64_t executed() const { return executed_; }
@@ -259,8 +264,9 @@ class EventQueue {
   /// Add a chunk of nodes to the free list and return its head.
   Node* refill();
   void push_far(Node* n);
-  /// Bitmap scan for the earliest occupied ring tick at or after now_.
-  std::optional<Tick> next_ring_tick() const;
+  /// Bitmap scan for the earliest occupied ring tick at or after now_;
+  /// kNever when the ring is empty.
+  Tick next_ring_tick() const;
   /// Merge far-heap events due at tick `t` into its bucket, by seq.
   void migrate_far(Tick t);
   /// Advance to tick `t` (the next event tick) and fire its head event.

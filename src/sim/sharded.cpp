@@ -179,12 +179,10 @@ void ShardedSim::step_all(Tick horizon) {
   }
 }
 
-std::optional<Tick> ShardedSim::next_event_tick() const {
-  std::optional<Tick> t_min;
-  for (const Shard& s : shards_) {
-    const auto t = s.eq->peek_next_tick();
-    if (t && (!t_min || *t < *t_min)) t_min = t;
-  }
+Tick ShardedSim::next_event_tick() const {
+  Tick t_min = EventQueue::kNever;
+  for (const Shard& s : shards_)
+    t_min = std::min(t_min, s.eq->peek_next_tick());
   return t_min;
 }
 
@@ -199,7 +197,8 @@ void ShardedSim::run_clocks(Tick b, bool done) {
     if (c.next != b) continue;
     c.next += c.period;
     step_all(b);
-    if (done && posts_pending() == 0 && !next_event_tick())
+    if (done && posts_pending() == 0 &&
+        next_event_tick() == EventQueue::kNever)
       continue;  // finished: no clock runs after the queues drain
     c.fn(b);
   }
@@ -213,8 +212,8 @@ void ShardedSim::run(BarrierHook hook) {
     exchange();
     const bool done = hook ? hook() : true;
     // Earliest pending event anywhere fixes the epoch's safe horizon.
-    std::optional<Tick> t_min = next_event_tick();
-    if (!t_min) {
+    Tick t_min = next_event_tick();
+    if (t_min == EventQueue::kNever) {
       // Nothing pending, nothing in flight (the exchange drained every
       // outbox): finished. A hook still reporting incomplete here is a
       // workload bug (it had its chance to schedule more events and didn't).
@@ -223,15 +222,15 @@ void ShardedSim::run(BarrierHook hook) {
     }
     // Boundaries in the idle gap before the earliest event go first: a
     // clock may schedule work there, which moves the window's start.
-    while (next_clock() < *t_min) {
+    while (next_clock() < t_min) {
       run_clocks(next_clock(), done);
       t_min = next_event_tick();
     }
     const Tick horizon =
-        lookahead_ == kNoLinks ? next_clock() : *t_min + lookahead_ - 1;
+        lookahead_ == kNoLinks ? next_clock() : t_min + lookahead_ - 1;
     const std::uint32_t barrier_tid = 0;
     if (trace_)
-      trace_->begin(*t_min, barrier_tid, "shard", "epoch", "epoch",
+      trace_->begin(t_min, barrier_tid, "shard", "epoch", "epoch",
                     stats_.epochs);
     // Boundaries inside the window split its stepping, never its exchange.
     while (!clocks_.empty() && next_clock() <= horizon)

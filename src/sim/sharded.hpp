@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -173,11 +172,11 @@ class ShardedSim {
   };
   struct Pool;  // persistent worker threads for threads_ > 1
   /// Horizon of a lone shard with no clock: drain, now() on the last event.
-  static constexpr Tick kDrain = ~Tick{0};
+  static constexpr Tick kDrain = EventQueue::kNever;
 
   void exchange();
   void step_all(Tick horizon);
-  std::optional<Tick> next_event_tick() const;  ///< Over every shard.
+  Tick next_event_tick() const;  ///< Over every shard; kNever when drained.
   Tick next_clock() const;  ///< Earliest boundary; kDrain with no clock.
   /// Step to `b` and run each clock due there, unless the run has finished.
   void run_clocks(Tick b, bool done);

@@ -124,9 +124,6 @@ struct Run {
   replay::TraceRecorder* rec = nullptr;  ///< Send-boundary trace tap.
   std::unique_ptr<replay::LifecyclePlane> lp;
   std::unique_ptr<runtime::QosSupervisor> sup;
-  /// The supervisor's private timeline: it reads only the latest cut, on
-  /// its own clock, so the caller's hooks cannot change what it decides.
-  obs::Timeline sup_tl{1};
 };
 
 Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
@@ -552,9 +549,8 @@ void register_class_series(obs::Timeline& tl, Run& run) {
         if (t.qos == cls) acc += view(t);
     return acc;
   };
-  // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct. The
-  // QoS supervisor differences consecutive epochs of this and of
-  // `delivered` to get a *windowed* attainment.
+  // Cumulative in-SLO deliveries — the raw counter behind slo_att_pct
+  // (latency_counters() folds the same counter for the QoS supervisor).
   const View within = [](const TenantMetrics& t) {
     return static_cast<double>(t.slo_within());
   };
@@ -572,8 +568,9 @@ void register_class_series(obs::Timeline& tl, Run& run) {
          [](const TenantMetrics& t) { return 1.0 * t.blocked_ticks; }}};
     for (const auto& [name, view] : sums)
       tl.add_series(base + name, [fold, cls, view] { return fold(cls, view); });
-    tl.add_series(base + "p99", [&run, cls] {
-      LogHistogram h;
+    // One histogram per series, refilled so a sample allocates nothing.
+    tl.add_series(base + "p99", [&run, cls, h = LogHistogram{}]() mutable {
+      h.clear();
       for (const auto& n : run.nodes)
         for (const auto& t : n->tenants)
           if (t.qos == cls) h.merge(t.latency);
@@ -590,6 +587,22 @@ void register_class_series(obs::Timeline& tl, Run& run) {
       return 100.0 * fold(cls, within) / delivered;
     });
   }
+}
+
+/// The supervisor's input: the latency class's cumulative counters summed
+/// over every node's rows (the class.latency.* series' values). It reads
+/// only run state, so the caller's hooks cannot change what the supervisor
+/// decides.
+runtime::LatencyCounters latency_counters(const Run& run) {
+  runtime::LatencyCounters c;
+  for (const auto& n : run.nodes)
+    for (const auto& t : n->tenants)
+      if (t.qos == QosClass::kLatency) {
+        c.delivered += t.delivered;
+        c.slo_within += t.slo_within();
+        c.blocked_ticks += t.blocked_ticks;
+      }
+  return c;
 }
 
 /// Register the run's timeline series: device and kernel counters summed
@@ -640,11 +653,10 @@ void register_series(obs::Timeline& tl, Run& run) {
   if (run.sup) run.sup->register_series(tl);
 }
 
-/// Hook the timelines and the caller's tracer (one pid per node, plus a
+/// Hook the caller's timeline and tracer (one pid per node, plus a
 /// mesh's barrier lane) onto the run, before its first actor spawns.
 /// Observation schedules nothing.
 void observe(Run& run) {
-  if (run.sup) register_class_series(run.sup_tl, run);
   if (run.obs && run.obs->timeline) register_series(*run.obs->timeline, run);
   if (run.obs && run.obs->tracer) {
     obs::Tracer& tr = *run.obs->tracer;
@@ -672,10 +684,9 @@ EngineResult step(Run& run, sim::ShardedSim::BarrierHook hook,
   if (tl)
     run.ssim.add_clock(std::max<Tick>(run.obs->sample_every, 1),
                         [tl](Tick at) { tl->sample(at); });
-  if (run.sup)  // control epoch: cut the private timeline, let it re-carve
-    run.ssim.add_clock(kSupervisorPeriod, [&run](Tick at) {
-      run.sup_tl.sample(at);
-      run.sup->on_epoch(run.sup_tl);
+  if (run.sup)  // control epoch: read the latency counters, re-carve
+    run.ssim.add_clock(kSupervisorPeriod, [&run](Tick) {
+      run.sup->on_epoch(latency_counters(run));
     });
   run.ssim.run(std::move(hook));
 

@@ -60,6 +60,14 @@ void LogHistogram::merge(const LogHistogram& other) {
   min_ = std::min(min_, other.min_);
 }
 
+void LogHistogram::clear() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  total_ = 0;
+  max_ = 0;
+  min_ = ~std::uint64_t{0};
+  sum_ = 0.0;
+}
+
 std::uint64_t LogHistogram::count_le(std::uint64_t v) const {
   if (total_ == 0) return 0;
   if (v >= max_) return total_;

@@ -29,6 +29,8 @@ class LogHistogram {
 
   void record(std::uint64_t v, std::uint64_t count = 1);
   void merge(const LogHistogram& other);
+  /// Back to the empty state, keeping the bucket storage.
+  void clear();
 
   std::uint64_t count() const { return total_; }
   std::uint64_t max() const { return max_; }

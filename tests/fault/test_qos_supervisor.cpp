@@ -1,6 +1,6 @@
 // Closed-loop QoS supervision: size_quotas() reproducing the hand-carved
 // tables, the AIMD decision rules (windowed violation, panic-to-floor,
-// probing recovery) against a synthetic timeline, and the end-to-end
+// probing recovery) against synthetic counters, and the end-to-end
 // payoff — the supervisor must beat static quotas on the adversarial-bulk
 // flood's latency-class SLO attainment.
 
@@ -61,28 +61,19 @@ TEST(SizeQuotas, ReproducesTheClassCarve) {
             1u);
 }
 
-// Drives on_epoch() with a hand-rolled timeline: cumulative delivered /
-// slo_within / blocked counters the test scripts epoch by epoch.
+// Drives on_epoch() with hand-rolled cumulative latency-class counters
+// (delivered / slo_within / blocked_ticks) the test scripts epoch by epoch.
 struct SupervisorHarness {
-  obs::Timeline tl;
-  double delivered = 0, within = 0, blocked = 0;
-  Tick now = 0;
-
-  SupervisorHarness() {
-    tl.add_series("class.latency.delivered", [this] { return delivered; });
-    tl.add_series("class.latency.slo_within", [this] { return within; });
-    tl.add_series("class.latency.blocked_ticks", [this] { return blocked; });
-  }
+  LatencyCounters c;
 
   /// One epoch in which `n` latency messages arrive, `good` of them within
   /// budget.
-  void epoch(QosSupervisor& sup, double n, double good, double dblocked = 0) {
-    delivered += n;
-    within += good;
-    blocked += dblocked;
-    now += 1000;
-    tl.sample(now);
-    sup.on_epoch(tl);
+  void epoch(QosSupervisor& sup, std::uint64_t n, std::uint64_t good,
+             std::uint64_t dblocked = 0) {
+    c.delivered += n;
+    c.slo_within += good;
+    c.blocked_ticks += dblocked;
+    sup.on_epoch(c);
   }
 };
 

@@ -88,9 +88,10 @@ TEST(ObsDeterminism, ClassicEngineByteIdenticalWithObsOnAndOff) {
 }
 
 TEST(ObsDeterminism, SupervisedRunByteIdenticalWithHooksOnAndOff) {
-  // The QoS supervisor keeps its own fixed clock and private timeline, so
-  // neither a trace recorder nor a caller timeline at another cadence can
-  // move its decisions: the supervised CSV equals the hook-less one.
+  // The QoS supervisor keeps its own fixed clock and reads tenant counters
+  // directly, so neither a trace recorder nor a caller timeline at another
+  // cadence can move its decisions: the supervised CSV equals the
+  // hook-less one.
   const ScenarioSpec* spec = find_scenario("qos-adversarial-bulk");
   ASSERT_NE(spec, nullptr);
   ASSERT_TRUE(spec->supervisor);

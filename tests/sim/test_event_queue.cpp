@@ -92,6 +92,42 @@ TEST(EventQueue, RunUntilPastTheLastEventKeepsLastFiredOnIt) {
   EXPECT_EQ(eq.last_fired(), 37u);
 }
 
+TEST(EventQueue, EmptyQueuePeeksNever) {
+  EventQueue eq;
+  EXPECT_EQ(eq.peek_next_tick(), EventQueue::kNever);
+  EXPECT_FALSE(eq.step());
+  EXPECT_EQ(eq.executed(), 0u);
+}
+
+TEST(EventQueue, FarOnlyQueuePeeksTheFarTick) {
+  // Beyond the 8192-tick ring horizon, so the ring is empty and the far
+  // heap alone answers the probe.
+  EventQueue eq;
+  eq.schedule_at(20'000, [] {});
+  EXPECT_EQ(eq.peek_next_tick(), 20'000u);
+  EXPECT_EQ(eq.now(), 0u);  // peeking fires nothing
+}
+
+TEST(EventQueue, RunUntilNeverFiresEverythingAndReturns) {
+  EventQueue eq;
+  int fired = 0;
+  eq.schedule_at(5, [&] { ++fired; });
+  eq.schedule_at(30'000, [&] { ++fired; });  // far
+  eq.run_until(~Tick{0});
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(eq.last_fired(), 30'000u);
+  EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, DrainedQueuePeeksNeverAgain) {
+  EventQueue eq;
+  eq.schedule_at(7, [] {});
+  EXPECT_EQ(eq.peek_next_tick(), 7u);
+  EXPECT_TRUE(eq.step());
+  EXPECT_EQ(eq.peek_next_tick(), EventQueue::kNever);
+  EXPECT_FALSE(eq.step());
+}
+
 TEST(EventQueue, ExecutedCounts) {
   EventQueue eq;
   for (int i = 0; i < 7; ++i) eq.schedule_at(i + 1, [] {});

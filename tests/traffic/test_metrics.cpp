@@ -59,6 +59,20 @@ TEST(LogHistogram, EmptyIsZero) {
   EXPECT_EQ(h.mean(), 0.0);
 }
 
+TEST(LogHistogram, ClearedRefillsLikeFresh) {
+  LogHistogram h;
+  h.record(1'000'000);
+  h.record(2);
+  h.clear();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(99), 0u);
+  h.record(70);
+  EXPECT_EQ(h.min(), 70u);  // neither bound survives the clear
+  EXPECT_EQ(h.max(), 70u);
+  EXPECT_EQ(h.percentile(99), 70u);
+  EXPECT_EQ(h.mean(), 70.0);
+}
+
 TEST(LogHistogram, PercentileAgreesWithExactSort) {
   // The satellite check: log-bucketed percentiles vs exact store-and-sort
   // percentiles on a heavy-tailed sample, within the 1/32 design error.
