@@ -174,8 +174,7 @@ Hierarchy::Outcome Hierarchy::access_line(CoreId core, Addr line,
   return {lat + (done - eq_.now())};
 }
 
-void Hierarchy::issue(const sim::MemRequest& req,
-                      std::function<void(sim::MemResult)> done) {
+void Hierarchy::issue(const sim::MemRequest& req, sim::MemDone& done) {
   assert(req.core < l1_.size());
   const Addr line = line_of(req.addr);
   const bool exclusive = req.op != sim::MemOp::kLoad &&
@@ -185,7 +184,7 @@ void Hierarchy::issue(const sim::MemRequest& req,
   // Functional commit at the completion tick keeps racing RMWs atomic and
   // sequentially consistent (single-threaded event loop).
   const sim::MemRequest r = req;
-  eq_.schedule_in(out.latency, [this, r, done = std::move(done)] {
+  eq_.schedule_in(out.latency, [this, r, done = &done] {
     sim::MemResult res;
     switch (r.op) {
       case sim::MemOp::kLoad:
@@ -219,7 +218,7 @@ void Hierarchy::issue(const sim::MemRequest& req,
         mem_.write_line(r.addr, r.buf);
         break;
     }
-    done(res);
+    done->mem_done(res);
   });
 }
 

@@ -34,8 +34,7 @@ class Hierarchy : public sim::MemoryPort {
             const sim::CacheConfig& cfg);
 
   // --- sim::MemoryPort -------------------------------------------------
-  void issue(const sim::MemRequest& req,
-             std::function<void(sim::MemResult)> done) override;
+  void issue(const sim::MemRequest& req, sim::MemDone& done) override;
 
   // --- functional access (setup / checkpointing, no timing) ------------
   MainMemory& backing() { return mem_; }

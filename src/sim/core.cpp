@@ -4,6 +4,8 @@
 
 namespace vl::sim {
 
+using detail::CoreOpBase;
+
 // --- run-queue scheduling ----------------------------------------------------
 //
 // Invariants:
@@ -11,7 +13,7 @@ namespace vl::sim {
 //   * resident_ names the thread whose architectural state is on the core
 //     (hooks/ctx cost fire only when it changes); resident_blocked_ marks a
 //     resident that parked and donated its slice.
-//   * run_queue_ holds suspended acquire_port() callers, FIFO.
+//   * run_queue_ holds suspended acquire_port() callers and Core ops, FIFO.
 //   * Grants always resume through the EventQueue (never inline), so
 //     scheduling order is deterministic and re-entrancy free.
 
@@ -35,8 +37,8 @@ bool Core::try_acquire_now(int tid) {
   return false;
 }
 
-void Core::enqueue_waiter(int tid, std::coroutine_handle<> h) {
-  run_queue_.push_back(PortWaiter{tid, h});
+void Core::enqueue_waiter(const PortWaiter& w) {
+  run_queue_.push_back(w);
   maybe_grant();
 }
 
@@ -76,8 +78,10 @@ void Core::grant_front() {
     resident_since_ = eq_.now();
   }
   resident_blocked_ = false;
-  const auto h = w.h;
-  eq_.schedule_in(cost, [h] { h.resume(); });
+  if (w.op)
+    eq_.schedule_in(cost, [op = w.op] { op->granted(); });
+  else
+    eq_.schedule_in(cost, [h = w.h] { h.resume(); });
 }
 
 void Core::arm_preempt_timer(Tick when) {
@@ -128,62 +132,61 @@ Co<std::size_t> SimThread::park_any(
 }
 
 // --- operations --------------------------------------------------------------
+//
+// A non-zero stage delay, a run-queue grant and the port's commit are one
+// event each; a stage that costs nothing runs inline. So a run's
+// (tick, seq) order depends only on the modelled costs.
 
-Co<MemResult> Core::issue(int tid, MemRequest req) {
-  co_await acquire_port(tid);
-  co_await Delay(eq_, cfg_.issue_cost);
-  req.core = id_;
-  AsyncOp<MemResult> op;
-  mem_.issue(req, [&op](MemResult r) { op.complete(r); });
-  MemResult r = co_await op;
-  release_port();
-  co_return r;
+CoreOpBase::CoreOpBase(Core& core, int tid, Tick pre, const MemRequest& req)
+    : core_(core), tid_(tid), is_mem_(true), pre_(pre),
+      delay_(core.cfg_.issue_cost), req_(req) {}
+
+bool CoreOpBase::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  if (pre_ != 0) {
+    core_.eq_.schedule_in(pre_, [this] {
+      if (acquire()) caller_.resume();
+    });
+    return true;
+  }
+  return !acquire();
 }
 
-Co<void> Core::compute(int tid, std::uint64_t cycles) {
-  co_await acquire_port(tid);
-  co_await Delay(eq_, cycles);
-  release_port();
+bool CoreOpBase::acquire() {
+  if (!core_.try_acquire_now(tid_)) {
+    core_.enqueue_waiter({tid_, nullptr, this});
+    return false;
+  }
+  return start();
 }
 
-Co<std::uint64_t> Core::load(int tid, Addr a, unsigned size) {
-  MemResult r = co_await issue(tid, {MemOp::kLoad, a, size, 0, 0, nullptr, id_});
-  co_return r.value;
+void CoreOpBase::granted() {
+  if (start()) caller_.resume();
 }
 
-Co<void> Core::store(int tid, Addr a, std::uint64_t v, unsigned size) {
-  co_await issue(tid, {MemOp::kStore, a, size, v, 0, nullptr, id_});
+bool CoreOpBase::start() {
+  if (delay_ != 0) {
+    core_.eq_.schedule_in(delay_, [this] {
+      if (issue()) caller_.resume();
+    });
+    return false;
+  }
+  return issue();
 }
 
-Co<bool> Core::cas64(int tid, Addr a, std::uint64_t expected,
-                     std::uint64_t desired) {
-  MemRequest req{MemOp::kCas64, a, 8, expected, desired, nullptr, id_};
-  co_await Delay(eq_, cfg_.atomic_extra);
-  MemResult r = co_await issue(tid, req);
-  co_return r.ok;
+bool CoreOpBase::issue() {
+  if (!is_mem_) {  // a compute block ends here
+    core_.release_port();
+    return true;
+  }
+  core_.mem_.issue(req_, *this);
+  return false;
 }
 
-Co<std::uint64_t> Core::fetch_add64(int tid, Addr a, std::uint64_t delta) {
-  MemRequest req{MemOp::kFetchAdd64, a, 8, delta, 0, nullptr, id_};
-  co_await Delay(eq_, cfg_.atomic_extra);
-  MemResult r = co_await issue(tid, req);
-  co_return r.value;
-}
-
-Co<std::uint64_t> Core::swap64(int tid, Addr a, std::uint64_t v) {
-  MemRequest req{MemOp::kSwap64, a, 8, v, 0, nullptr, id_};
-  co_await Delay(eq_, cfg_.atomic_extra);
-  MemResult r = co_await issue(tid, req);
-  co_return r.value;
-}
-
-Co<void> Core::load_line(int tid, Addr a, void* out) {
-  co_await issue(tid, {MemOp::kLoadLine, a, 64, 0, 0, out, id_});
-}
-
-Co<void> Core::store_line(int tid, Addr a, const void* in) {
-  co_await issue(tid,
-                 {MemOp::kStoreLine, a, 64, 0, 0, const_cast<void*>(in), id_});
+void CoreOpBase::mem_done(MemResult r) {
+  res_ = r;
+  core_.release_port();
+  caller_.resume();
 }
 
 }  // namespace vl::sim

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -33,20 +34,88 @@ namespace vl::sim {
 
 class Core;
 
+namespace detail {
+
+/// One Core operation (a compute block or a memory access), awaited in
+/// place: the object lives in the awaiting coroutine's frame and steps
+/// through the op's stages itself, so an op allocates no coroutine frame
+/// and no completion functor. Stages, each an event only when it costs
+/// time:
+///   1. pre-delay (atomic_extra for an RMW);
+///   2. the issue port: taken at once, or queued on the core's run-queue;
+///   3. issue_cost for a memory op, the cycles for a compute block;
+///   4. a memory op issues to the MemoryPort;
+///   5. completion (the port's commit, or the end of the compute block)
+///      releases the port, then resumes the caller inline.
+/// An op that costs no time on a free port completes without suspending.
+class CoreOpBase : private MemDone {
+ public:
+  /// A compute block of `cycles`.
+  CoreOpBase(Core& core, int tid, Tick cycles)
+      : core_(core), tid_(tid), is_mem_(false), delay_(cycles) {}
+  /// A memory access, after `pre` cycles outside the port.
+  CoreOpBase(Core& core, int tid, Tick pre, const MemRequest& req);
+  // The op's address is handed to the run-queue and the MemoryPort.
+  CoreOpBase(const CoreOpBase&) = delete;
+  CoreOpBase& operator=(const CoreOpBase&) = delete;
+
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> caller);
+
+ protected:
+  MemResult res_;
+
+ private:
+  friend class vl::sim::Core;
+
+  // Each stage returns true when the op completed synchronously.
+  bool acquire();
+  bool start();
+  bool issue();
+  /// The run-queue granted the port (from the grant event).
+  void granted();
+  void mem_done(MemResult r) override;
+
+  Core& core_;
+  int tid_;
+  bool is_mem_;
+  Tick pre_ = 0;
+  Tick delay_;
+  MemRequest req_{};
+  std::coroutine_handle<> caller_;
+};
+
+}  // namespace detail
+
+/// Awaitable Core operation yielding R: the loaded or old value
+/// (std::uint64_t), the CAS success flag (bool) or nothing (void).
+template <class R>
+class [[nodiscard]] CoreOp : public detail::CoreOpBase {
+ public:
+  using CoreOpBase::CoreOpBase;
+  R await_resume() const noexcept {
+    if constexpr (std::is_same_v<R, bool>)
+      return res_.ok;
+    else if constexpr (!std::is_void_v<R>)
+      return res_.value;
+  }
+};
+
 /// A software thread bound to a core. Thin value type passed to every op.
 struct SimThread {
   Core* core = nullptr;
   int tid = -1;
 
   // Convenience forwarding (definitions after Core).
-  Co<void> compute(std::uint64_t cycles) const;
-  Co<std::uint64_t> load(Addr a, unsigned size = 8) const;
-  Co<void> store(Addr a, std::uint64_t v, unsigned size = 8) const;
-  Co<bool> cas64(Addr a, std::uint64_t expected, std::uint64_t desired) const;
-  Co<std::uint64_t> fetch_add64(Addr a, std::uint64_t delta) const;
-  Co<std::uint64_t> swap64(Addr a, std::uint64_t v) const;
-  Co<void> load_line(Addr a, void* out) const;
-  Co<void> store_line(Addr a, const void* in) const;
+  CoreOp<void> compute(std::uint64_t cycles) const;
+  CoreOp<std::uint64_t> load(Addr a, unsigned size = 8) const;
+  CoreOp<void> store(Addr a, std::uint64_t v, unsigned size = 8) const;
+  CoreOp<bool> cas64(Addr a, std::uint64_t expected,
+                     std::uint64_t desired) const;
+  CoreOp<std::uint64_t> fetch_add64(Addr a, std::uint64_t delta) const;
+  CoreOp<std::uint64_t> swap64(Addr a, std::uint64_t v) const;
+  CoreOp<void> load_line(Addr a, void* out) const;
+  CoreOp<void> store_line(Addr a, const void* in) const;
 
   /// Futex-style blocking: donate this thread's core residency (yield) and
   /// park on `wq` unless its epoch already moved past `expected`. Costs no
@@ -78,8 +147,6 @@ class Core {
 
   /// Register a software thread on this core; returns its tid.
   SimThread make_thread() { return SimThread{this, next_tid_++}; }
-  int thread_count() const { return next_tid_; }
-  int resident_tid() const { return resident_; }
 
   void add_ctx_switch_hook(CtxSwitchHook h) {
     hooks_.push_back(std::move(h));
@@ -89,18 +156,37 @@ class Core {
   std::uint64_t ctx_switches() const { return ctx_switches_; }
   /// Times a blocking thread donated its residency via yield().
   std::uint64_t yields() const { return yields_; }
-  /// Threads currently queued for the issue port.
-  std::size_t run_queue_depth() const { return run_queue_.size(); }
 
   // --- awaitable operations ------------------------------------------------
-  Co<void> compute(int tid, std::uint64_t cycles);
-  Co<std::uint64_t> load(int tid, Addr a, unsigned size);
-  Co<void> store(int tid, Addr a, std::uint64_t v, unsigned size);
-  Co<bool> cas64(int tid, Addr a, std::uint64_t expected, std::uint64_t desired);
-  Co<std::uint64_t> fetch_add64(int tid, Addr a, std::uint64_t delta);
-  Co<std::uint64_t> swap64(int tid, Addr a, std::uint64_t v);
-  Co<void> load_line(int tid, Addr a, void* out);
-  Co<void> store_line(int tid, Addr a, const void* in);
+  CoreOp<void> compute(int tid, std::uint64_t cycles) {
+    return {*this, tid, cycles};
+  }
+  CoreOp<std::uint64_t> load(int tid, Addr a, unsigned size) {
+    return {*this, tid, 0, {MemOp::kLoad, a, size, 0, 0, nullptr, id_}};
+  }
+  CoreOp<void> store(int tid, Addr a, std::uint64_t v, unsigned size) {
+    return {*this, tid, 0, {MemOp::kStore, a, size, v, 0, nullptr, id_}};
+  }
+  CoreOp<bool> cas64(int tid, Addr a, std::uint64_t expected,
+                     std::uint64_t desired) {
+    return {*this, tid, cfg_.atomic_extra,
+            {MemOp::kCas64, a, 8, expected, desired, nullptr, id_}};
+  }
+  CoreOp<std::uint64_t> fetch_add64(int tid, Addr a, std::uint64_t delta) {
+    return {*this, tid, cfg_.atomic_extra,
+            {MemOp::kFetchAdd64, a, 8, delta, 0, nullptr, id_}};
+  }
+  CoreOp<std::uint64_t> swap64(int tid, Addr a, std::uint64_t v) {
+    return {*this, tid, cfg_.atomic_extra,
+            {MemOp::kSwap64, a, 8, v, 0, nullptr, id_}};
+  }
+  CoreOp<void> load_line(int tid, Addr a, void* out) {
+    return {*this, tid, 0, {MemOp::kLoadLine, a, 64, 0, 0, out, id_}};
+  }
+  CoreOp<void> store_line(int tid, Addr a, const void* in) {
+    return {*this, tid, 0,
+            {MemOp::kStoreLine, a, 64, 0, 0, const_cast<void*>(in), id_}};
+  }
 
   /// Awaitable: acquire the issue port as `tid`, paying a context switch if
   /// the resident thread changes. Used directly by the VL ISA port as well.
@@ -109,7 +195,7 @@ class Core {
     int tid;
     bool await_ready() { return core.try_acquire_now(tid); }
     void await_suspend(std::coroutine_handle<> h) {
-      core.enqueue_waiter(tid, h);
+      core.enqueue_waiter({tid, h, nullptr});
     }
     void await_resume() const noexcept {}
   };
@@ -128,22 +214,23 @@ class Core {
 
  private:
   friend struct PortAwaiter;
+  friend class detail::CoreOpBase;
 
-  Co<MemResult> issue(int tid, MemRequest req);
+  /// A run-queue entry: a suspended acquire_port() caller, or a Core op.
+  struct PortWaiter {
+    int tid;
+    std::coroutine_handle<> h;
+    detail::CoreOpBase* op;
+  };
 
   bool try_acquire_now(int tid);
-  void enqueue_waiter(int tid, std::coroutine_handle<> h);
+  void enqueue_waiter(const PortWaiter& w);
   void maybe_grant();
   void grant_front();
   void arm_preempt_timer(Tick when);
   bool within_slice() const {
     return eq_.now() < resident_since_ + cfg_.sched_quantum;
   }
-
-  struct PortWaiter {
-    int tid;
-    std::coroutine_handle<> h;
-  };
 
   EventQueue& eq_;
   CoreId id_;
@@ -162,30 +249,31 @@ class Core {
 };
 
 // --- SimThread forwarding ----------------------------------------------------
-inline Co<void> SimThread::compute(std::uint64_t cycles) const {
+inline CoreOp<void> SimThread::compute(std::uint64_t cycles) const {
   return core->compute(tid, cycles);
 }
-inline Co<std::uint64_t> SimThread::load(Addr a, unsigned size) const {
+inline CoreOp<std::uint64_t> SimThread::load(Addr a, unsigned size) const {
   return core->load(tid, a, size);
 }
-inline Co<void> SimThread::store(Addr a, std::uint64_t v, unsigned size) const {
+inline CoreOp<void> SimThread::store(Addr a, std::uint64_t v,
+                                     unsigned size) const {
   return core->store(tid, a, v, size);
 }
-inline Co<bool> SimThread::cas64(Addr a, std::uint64_t expected,
+inline CoreOp<bool> SimThread::cas64(Addr a, std::uint64_t expected,
                                  std::uint64_t desired) const {
   return core->cas64(tid, a, expected, desired);
 }
-inline Co<std::uint64_t> SimThread::fetch_add64(Addr a,
+inline CoreOp<std::uint64_t> SimThread::fetch_add64(Addr a,
                                                 std::uint64_t delta) const {
   return core->fetch_add64(tid, a, delta);
 }
-inline Co<std::uint64_t> SimThread::swap64(Addr a, std::uint64_t v) const {
+inline CoreOp<std::uint64_t> SimThread::swap64(Addr a, std::uint64_t v) const {
   return core->swap64(tid, a, v);
 }
-inline Co<void> SimThread::load_line(Addr a, void* out) const {
+inline CoreOp<void> SimThread::load_line(Addr a, void* out) const {
   return core->load_line(tid, a, out);
 }
-inline Co<void> SimThread::store_line(Addr a, const void* in) const {
+inline CoreOp<void> SimThread::store_line(Addr a, const void* in) const {
   return core->store_line(tid, a, in);
 }
 

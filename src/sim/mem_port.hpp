@@ -1,7 +1,7 @@
 #pragma once
 // Abstract memory interface between the core model and the cache hierarchy.
 //
-// The core issues a request and receives a completion callback at the tick
+// The core issues a request and is notified through its MemDone at the tick
 // the operation commits. Functional effects (the actual data update) happen
 // at commit time inside the hierarchy, which — because the event loop is
 // single-threaded — gives exact sequential-consistency semantics across
@@ -9,7 +9,6 @@
 // coherence-event counters.
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hpp"
 
@@ -40,12 +39,22 @@ struct MemResult {
   bool ok = true;           ///< CAS success flag.
 };
 
+/// Completion of an issued request. The issuer owns it and keeps it alive
+/// until mem_done() runs, so the port stores a pointer, not a functor.
+class MemDone {
+ public:
+  virtual void mem_done(MemResult r) = 0;
+
+ protected:
+  ~MemDone() = default;
+};
+
 class MemoryPort {
  public:
   virtual ~MemoryPort() = default;
-  /// Issue a request; `done` fires exactly once, at the commit tick.
-  virtual void issue(const MemRequest& req,
-                     std::function<void(MemResult)> done) = 0;
+  /// Issue a request; `done.mem_done()` runs exactly once, from the event
+  /// at the commit tick (never inside issue()).
+  virtual void issue(const MemRequest& req, MemDone& done) = 0;
 };
 
 }  // namespace vl::sim

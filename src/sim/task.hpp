@@ -215,34 +215,4 @@ class DelayUntil {
   Tick when_;
 };
 
-/// Single-shot value slot bridging callback-style device completions into
-/// coroutine land. The AsyncOp must outlive the callback (it normally lives
-/// in the awaiting coroutine's frame).
-template <class T>
-class AsyncOp {
- public:
-  void complete(T v) {
-    assert(!value_.has_value() && "AsyncOp completed twice");
-    value_.emplace(std::move(v));
-    if (waiter_) {
-      auto w = std::exchange(waiter_, nullptr);
-      w.resume();
-    }
-  }
-
-  auto operator co_await() noexcept {
-    struct Awaiter {
-      AsyncOp& op;
-      bool await_ready() const noexcept { return op.value_.has_value(); }
-      void await_suspend(std::coroutine_handle<> h) noexcept { op.waiter_ = h; }
-      T await_resume() { return std::move(*op.value_); }
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  std::optional<T> value_;
-  std::coroutine_handle<> waiter_ = nullptr;
-};
-
 }  // namespace vl::sim

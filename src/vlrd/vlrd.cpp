@@ -435,7 +435,6 @@ void Vlrd::stage2(Latch& l, std::string* tr) {
 
 void Vlrd::stage3(Latch& l, std::string* tr) {
   LinkTabEntry& lt = link_tab_[l.sqi];
-  std::ostringstream os;
 
   // Revalidate against the current table state: an older in-flight entry on
   // the same SQI may have consumed the head this latch saw in Stage 1.
@@ -453,17 +452,23 @@ void Vlrd::stage3(Latch& l, std::string* tr) {
       p.mapped = l.idx;
       c.valid = false;  // request satisfied
       append_out(data_idx);
-      if (tr)
+      if (tr) {
+        std::ostringstream os;
         os << "map prodBuf[" << data_idx << "] -> consTgt of consBuf["
            << l.idx << "]; linkTab[" << l.sqi
            << "].prodHead <- " << idx_str(lt.prod_head);
+        *tr = os.str();
+      }
       kick_injector();
     } else {
       l.hit = false;
       append_wait(lt, /*consumer=*/true, l.idx);
-      if (tr)
+      if (tr) {
+        std::ostringstream os;
         os << "linkTab[" << l.sqi << "].cons{Head,Tail} <- "
            << idx_str(lt.cons_head) << "," << idx_str(lt.cons_tail);
+        *tr = os.str();
+      }
     }
   } else {
     const std::uint16_t req_idx = pop_wait(lt, /*consumer=*/true);
@@ -479,20 +484,25 @@ void Vlrd::stage3(Latch& l, std::string* tr) {
       p.mapped = req_idx;
       c.valid = false;
       append_out(l.idx);
-      if (tr)
+      if (tr) {
+        std::ostringstream os;
         os << "linkTab[" << l.sqi << "].consHead <- "
            << idx_str(lt.cons_head) << "; set prodBuf[" << l.idx
            << "].OUT POHR,POTR <- " << pohr_ << "," << potr_;
+        *tr = os.str();
+      }
       kick_injector();
     } else {
       l.hit = false;
       append_wait(lt, /*consumer=*/false, l.idx);
-      if (tr)
+      if (tr) {
+        std::ostringstream os;
         os << "linkTab[" << l.sqi << "].prod{Head,Tail} <- "
            << idx_str(lt.prod_head) << "," << idx_str(lt.prod_tail);
+        *tr = os.str();
+      }
     }
   }
-  if (tr) *tr = os.str();
 }
 
 // --------------------------------------------------------------------------

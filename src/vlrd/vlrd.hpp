@@ -175,7 +175,6 @@ class Vlrd {
       if (on_push_retry_) on_push_retry_(std::nullopt);
     }
   }
-  bool injector_stalled() const { return injector_stalled_; }
 
   /// Harness-side notification, fired whenever a condition that NACKed an
   /// earlier push may have cleared. The argument names the SQI whose

@@ -2,8 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "mem/hierarchy.hpp"
 #include "sim/sync.hpp"
+
+// Every global operator new in this test binary, counted so a test can
+// assert that a steady stream of Core ops allocates nothing. Each
+// non-aligned form is replaced, so every pointer they return is freed by a
+// matching replacement. Out of line, so GCC does not pair an inlined free()
+// with a new-expression (-Wmismatched-new-delete).
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+[[gnu::noinline]] void* counted_alloc(std::size_t n) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+[[gnu::noinline]] void* counted_new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
 
 namespace vl::sim {
 namespace {
@@ -182,6 +224,125 @@ TEST_F(CoreFixture, WokenThreadReacquiresTheCoreAndContinues) {
   eq.run();
   EXPECT_EQ(got, 42u);
   EXPECT_EQ(hier.backing().read(0x8000, 8), 42u);
+}
+
+TEST_F(CoreFixture, SteadyOpsAllocateNothing) {
+  // An op lives in its caller's frame: after a warm-up (event-node chunk,
+  // backing-store pages), a loop over all eight ops performs no heap
+  // allocation at all.
+  SimThread t = core0.make_thread();
+  std::uint64_t allocs = ~std::uint64_t{0};
+  spawn([](SimThread th, std::uint64_t* out) -> Co<void> {
+    std::array<std::uint8_t, 64> line{};
+    std::uint64_t before = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (i == 32) before = g_heap_allocs.load();
+      const std::uint64_t v = co_await th.load(0x9000, 8);
+      co_await th.store(0x9000, v + 1, 8);
+      co_await th.cas64(0x9008, v, v + 1);
+      co_await th.fetch_add64(0x9010, 1);
+      co_await th.swap64(0x9018, v);
+      co_await th.store_line(0x9040, line.data());
+      co_await th.load_line(0x9040, line.data());
+      co_await th.compute(3);
+    }
+    *out = g_heap_allocs.load() - before;
+  }(t, &allocs));
+  eq.run();
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST_F(CoreFixture, ZeroCycleComputeOnAFreePortDoesNotSuspend) {
+  SimThread t = core0.make_thread();
+  bool first = false;
+  bool resident_same_event = false;
+  spawn([](SimThread th, EventQueue& q, bool* f, bool* r) -> Co<void> {
+    co_await th.compute(0);  // first occupant of a free port
+    *f = true;
+    co_await th.store(0xa000, 1, 8);  // now resumed from the commit event
+    const std::uint64_t fired = q.executed();
+    const Tick now = q.now();
+    co_await th.compute(0);
+    *r = q.executed() == fired && q.now() == now;
+  }(t, eq, &first, &resident_same_event));
+  EXPECT_TRUE(first);  // finished inside spawn(), before any event fired
+  EXPECT_EQ(eq.executed(), 0u);
+  eq.run();
+  EXPECT_TRUE(resident_same_event);
+}
+
+// A MemoryPort committing every request a fixed `lat` ticks after issue.
+struct FixedLatencyPort : MemoryPort {
+  EventQueue& eq;
+  Tick lat;
+  FixedLatencyPort(EventQueue& q, Tick l) : eq(q), lat(l) {}
+  void issue(const MemRequest&, MemDone& done) override {
+    eq.schedule_in(lat, [&done] { done.mem_done(MemResult{}); });
+  }
+};
+
+struct FifoTicks {
+  Tick cas_done = 0;  ///< the Core op's completion
+  Tick port_got = 0;  ///< the acquire_port() waiter's grant
+};
+
+/// t0 holds the port for 100 ticks, then parks. Meanwhile t1 issues a
+/// cas64 (queued on the port at tick atomic_extra) and t2, an
+/// acquire_port() caller like the VL ISA port, queues at `waiter_at` and
+/// holds the port for `hold` ticks. Each parks once done, handing the core
+/// on at once.
+FifoTicks run_fifo(const CoreConfig& cfg, Tick lat, Tick waiter_at,
+                   Tick hold) {
+  EventQueue eq;
+  FixedLatencyPort port(eq, lat);
+  Core core(eq, 0, port, cfg);
+  WaitQueue wq(eq);
+  FifoTicks out;
+  spawn([](SimThread th, WaitQueue& w) -> Co<void> {
+    co_await th.compute(100);
+    co_await th.park(w, w.epoch());
+  }(core.make_thread(), wq));
+  spawn([](SimThread th, WaitQueue& w, Tick* done) -> Co<void> {
+    const bool ok = co_await th.cas64(0x100, 0, 1);
+    EXPECT_TRUE(ok);
+    *done = th.core->eq().now();
+    co_await th.park(w, w.epoch());
+  }(core.make_thread(), wq, &out.cas_done));
+  spawn([](SimThread th, WaitQueue& w, Tick at, Tick hold,
+           Tick* got) -> Co<void> {
+    EventQueue& q = th.core->eq();
+    co_await Delay(q, at);
+    co_await th.core->acquire_port(th.tid);
+    *got = q.now();
+    co_await Delay(q, hold);
+    th.core->release_port();
+    co_await th.park(w, w.epoch());
+  }(core.make_thread(), wq, waiter_at, hold, &out.port_got));
+  eq.run();
+  wq.wake_all();  // let the parked threads finish
+  eq.run();
+  return out;
+}
+
+TEST(CoreRunQueue, OpsAndPortWaitersAreGrantedFifo) {
+  CoreConfig cfg;
+  cfg.issue_cost = 3;
+  cfg.atomic_extra = 5;
+  cfg.ctx_switch_cost = 200;
+  const Tick lat = 20, hold = 50;
+  const Tick C = cfg.ctx_switch_cost, I = cfg.issue_cost;
+
+  // The cas64 queues first (tick 5, after its atomic_extra): t0's park
+  // grants it after one switch; its release and park grant the waiter.
+  const FifoTicks op_first = run_fifo(cfg, lat, /*waiter_at=*/7, hold);
+  EXPECT_EQ(op_first.cas_done, 100 + C + I + lat);
+  EXPECT_EQ(op_first.port_got, op_first.cas_done + C);
+
+  // The waiter queues first (tick 2): it holds the port `hold` ticks, then
+  // the cas64 pays a switch, its issue cost and the port latency.
+  const FifoTicks waiter_first = run_fifo(cfg, lat, /*waiter_at=*/2, hold);
+  EXPECT_EQ(waiter_first.port_got, 100 + C);
+  EXPECT_EQ(waiter_first.cas_done, waiter_first.port_got + hold + C + I + lat);
 }
 
 }  // namespace

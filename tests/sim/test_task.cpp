@@ -68,30 +68,6 @@ TEST(Task, ManyConcurrentCoroutinesInterleave) {
   EXPECT_EQ(eq.now(), 100u);
 }
 
-TEST(Task, AsyncOpBridgesCallbacks) {
-  EventQueue eq;
-  std::uint64_t got = 0;
-  spawn([](EventQueue& q, std::uint64_t* out) -> Co<void> {
-    AsyncOp<std::uint64_t> op;
-    q.schedule_in(42, [&op] { op.complete(7); });
-    *out = co_await op;
-    EXPECT_EQ(q.now(), 42u);
-  }(eq, &got));
-  eq.run();
-  EXPECT_EQ(got, 7u);
-}
-
-TEST(Task, AsyncOpCompletedBeforeAwaitIsReady) {
-  EventQueue eq;
-  int got = 0;
-  spawn([](int* out) -> Co<void> {
-    AsyncOp<int> op;
-    op.complete(5);
-    *out = co_await op;  // must not suspend
-  }(&got));
-  EXPECT_EQ(got, 5);
-}
-
 TEST(AsyncMutex, MutualExclusionAndFifo) {
   EventQueue eq;
   AsyncMutex m(eq);

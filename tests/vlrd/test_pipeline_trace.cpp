@@ -157,6 +157,13 @@ TEST_F(PipelineTraceTest, TraceStringsMentionLinkTabReads) {
   EXPECT_NE(rows[0].stage1.find("prodHead,consTail"), std::string::npos);
   EXPECT_NE(rows[1].stage2.find("miss"), std::string::npos);
   EXPECT_NE(rows[3].stage2.find("hit"), std::string::npos);
+  // Stage 3 text: the blue request's append (a miss) and the blue
+  // mapping's commit (a producer-side hit).
+  EXPECT_NE(rows[2].stage3.find("linkTab[" + std::to_string(kBlue) +
+                                "].cons{Head,Tail} <- 0,0"),
+            std::string::npos);
+  EXPECT_NE(rows[4].stage3.find("set prodBuf[0].OUT POHR,POTR"),
+            std::string::npos);
 }
 
 }  // namespace
