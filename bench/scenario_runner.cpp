@@ -85,7 +85,9 @@ void print_usage() {
                "  --faults SPEC  deterministic fault schedule (see\n"
                "            fault/spec.hpp grammar), e.g.\n"
                "            'stall@20000+30000;spike@10000+5000:extra=256'\n"
-               "            or 'rand:7' — overrides the preset's schedule\n"
+               "            or 'rand:7' — overrides the preset's schedule;\n"
+               "            loss/dup apply at the send boundary on every\n"
+               "            backend, replayed streams included\n"
                "  --no-supervisor  disable the closed-loop QoS supervisor\n"
                "            on presets that enable it (ablation baseline)\n"
                "  --assert-slo CLASS=PCT  exit 3 unless CLASS's SLO\n"
@@ -98,12 +100,15 @@ void print_usage() {
                "            single cell only\n"
                "  --replay FILE  drive the run from a recorded trace instead\n"
                "            of the preset's arrival processes; single cell,\n"
-               "            shape (scenario/producers/tenants) must match\n"
+               "            shape (scenario/producers/tenants) must match;\n"
+               "            flash@ and join/leave are rejected (a trace is\n"
+               "            the post-shed, post-churn stream)\n"
                "  --churn SPEC  lifecycle events (replay/lifecycle.hpp\n"
                "            grammar), e.g.\n"
                "            'leave@30000:tenant=bulk;join@45000:tenant=bulk'\n"
-               "            or 'reconfig@20000' (VL backends only); single\n"
-               "            node only. Exit 4 on a conservation violation\n"
+               "            (single node or --shards) or 'reconfig@20000'\n"
+               "            (VL backends, single node only). Exit 4 on a\n"
+               "            conservation violation\n"
                "  --warm-restart  run the snapshot/rebuild/restore drill on\n"
                "            the selected device backend (vl|vlideal|caf)\n"
                "            and print its one-line report\n");
@@ -295,13 +300,10 @@ int main(int argc, char** argv) {
                     10));
   const bool no_supervisor = has_flag(argc, argv, "--no-supervisor");
   const std::string faults = arg_value(argc, argv, "--faults", "");
-  bool chan_faults = false;  // loss/dup clauses present in --faults
   if (!faults.empty()) {
     try {
-      const vl::fault::FaultSpec fs = vl::fault::FaultSpec::parse(faults);
-      chan_faults = fs.has(vl::fault::FaultKind::kChanLoss) ||
-                    fs.has(vl::fault::FaultKind::kChanDup);
-      std::fprintf(stderr, "faults: %s\n", fs.summary().c_str());
+      std::fprintf(stderr, "faults: %s\n",
+                   vl::fault::FaultSpec::parse(faults).summary().c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return 2;
@@ -377,49 +379,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Feature/backend gates: name the unsupported combination instead of
-  // silently ignoring the flag (the engine would run, minus the feature).
-  for (Backend b : backends) {
-    const bool software = b == Backend::kBlfq || b == Backend::kZmq;
-    if (chan_faults && !software) {
-      std::fprintf(stderr,
-                   "unsupported combination: --faults loss/dup with "
-                   "--backend %s — channel loss/dup faults mutate the "
-                   "software rings only (blfq, zmq); the device backends "
-                   "gate them off\n",
-                   to_string(b));
-      return 2;
-    }
-  }
-  if (!record_path.empty() && !replay_path.empty()) {
-    std::fprintf(stderr,
-                 "unsupported combination: --record with --replay — a "
-                 "replayed run would re-record its own input; pick one\n");
-    return 2;
-  }
-  if (!replay_path.empty() && chan_faults) {
-    std::fprintf(stderr,
-                 "unsupported combination: --replay with --faults loss/dup "
-                 "— a trace is the post-shed stream, loss/dup are already "
-                 "reflected in the recorded ticks\n");
-    return 2;
-  }
-
   if (warm_restart) {
-    for (Backend b : backends)
-      if (b == Backend::kBlfq || b == Backend::kZmq) {
-        std::fprintf(stderr,
-                     "unsupported combination: --warm-restart with "
-                     "--backend %s — the software rings keep their state in "
-                     "host memory; only the device backends (vl, vlideal, "
-                     "caf) have restorable device state. Pick --backend "
-                     "vl|vlideal|caf\n",
-                     to_string(b));
+    for (Backend b : backends) {
+      vl::replay::WarmRestartReport rep;
+      try {
+        rep = vl::replay::run_warm_restart(b, seed);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
       }
-    for (Backend b : backends) {
-      const vl::replay::WarmRestartReport rep =
-          vl::replay::run_warm_restart(b, seed);
       std::printf("%s\n", rep.text().c_str());
       if (!rep.conserved()) {
         std::fprintf(stderr, "warm-restart: conservation FAILED\n");

@@ -222,6 +222,7 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
   // defaults the supervisor on.
   spec.supervisor = sup;
   if (!faults.empty()) spec.faults = vl::fault::FaultSpec::parse(faults);
+  if (batch) spec = vl::traffic::with_batch(spec, batch);
   vl::obs::Timeline tl;
   vl::obs::RunHooks hooks;
   hooks.timeline = &tl;
@@ -233,9 +234,7 @@ Row run_one(const std::string& scenario, Backend backend, std::uint64_t seed,
     opts.obs = obs;
     r = vl::traffic::run_sharded(spec, backend, seed, opts, scale).engine;
   } else {
-    r = batch ? vl::traffic::run_spec(vl::traffic::with_batch(spec, batch),
-                                      backend, seed, scale)
-              : vl::traffic::run_spec(spec, backend, seed, scale, obs);
+    r = vl::traffic::run_spec(spec, backend, seed, scale, obs);
   }
 
   Row row;

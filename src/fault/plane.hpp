@@ -18,9 +18,9 @@
 //                       one immutable link table, which keeps fault runs
 //                       byte-identical between sequential and threaded
 //                       stepping.
-//   * channel loss/dup— the traffic engines consult chan_copies() at the
+//   * channel loss/dup— the traffic engine consults chan_copies() at the
 //                       send boundary (before a message joins its
-//                       sub-batch), for software backends only. Mutating
+//                       sub-batch), on every backend. Mutating
 //                       the batch *before* it is counted keeps the pill
 //                       drain counts and the conservation identity
 //                       (generated == delivered + dropped) exact.
@@ -80,8 +80,8 @@ class FaultPlane {
   /// producer on `shard`: 0 = drop (count it as shed), 1 = send once,
   /// 2 = send twice. Advances the shard's deterministic ordinal counter.
   int chan_copies(int shard, Tick now);
-  /// Any loss/dup events in the spec at all (engines gate the per-message
-  /// hook on this and on the backend being a software one).
+  /// Any loss/dup events in the spec at all (the engine gates the
+  /// per-message hook on this).
   bool mutates_channels() const { return chan_events_; }
 
   /// Apply the tick-`now` link-fault table to the sharded sim. Call ONLY

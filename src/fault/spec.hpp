@@ -19,7 +19,7 @@
 //   spike@START+DUR:extra=T[,src=A][,dst=B]   link latency spike (sharded)
 //   partition@START+DUR[:src=A][,dst=B]       link down, bounded (sharded)
 //   stall@START+DUR[:shard=K]                 VLRD injector pause + resume
-//   loss@START+DUR:every=N[,shard=K]          drop every Nth send (sw backends)
+//   loss@START+DUR:every=N[,shard=K]          drop every Nth send
 //   dup@START+DUR:every=N[,shard=K]           duplicate every Nth send
 //   flash@START+DUR:factor=F[,class=C][,shard=K]
 //                                             scale arrival gaps by F

@@ -28,9 +28,14 @@
 //     onto the same thread — every pushable tag drops, in-flight
 //     injections reject and recover through the § III-B path, and the
 //     landed-frame sweep (PR 6) guarantees nothing strands: zero loss.
-//   * the engine schedules a quota re-carve (runtime::size_quotas over the
-//     classes active at that instant) at every join/leave boundary, so
-//     hardware quotas track the live tenant mix.
+//   * each node schedules a quota re-carve of its own machine
+//     (runtime::size_quotas over the classes active at that instant) at
+//     every join/leave boundary, so hardware quotas track the live tenant
+//     mix.
+//
+// Join/leave only read the plane, so the shards of a mesh share one
+// (threaded stepping races on nothing); take_reconfig() is the one mutator,
+// which is why reconfig@ needs a single node.
 
 #include <cstdint>
 #include <limits>
@@ -102,14 +107,6 @@ class LifecyclePlane {
   /// computation; boundary ticks count as post-transition).
   bool tenant_active_at(int tenant, Tick now) const;
 
-  // Run counters (reports and tests).
-  void note_forfeit(std::uint64_t n) { forfeited_ += n; }
-  void note_reconfig_applied() { ++reconfigs_applied_; }
-  void note_recarve() { ++recarves_; }
-  std::uint64_t forfeited() const { return forfeited_; }
-  std::uint64_t reconfigs_applied() const { return reconfigs_applied_; }
-  std::uint64_t recarves() const { return recarves_; }
-
  private:
   struct Window {  ///< Half-open [from, to) inactive span.
     Tick from = 0;
@@ -124,9 +121,6 @@ class LifecyclePlane {
   std::vector<Tick> boundaries_;
   /// Per reconfig event: channels it already fired for.
   std::vector<std::vector<int>> reconfig_fired_;
-  std::uint64_t forfeited_ = 0;
-  std::uint64_t reconfigs_applied_ = 0;
-  std::uint64_t recarves_ = 0;
 };
 
 }  // namespace vl::replay

@@ -5,7 +5,7 @@
 namespace vl::runtime {
 
 Supervisor::Supervisor(std::uint32_t num_devices) {
-  assert(num_devices >= 1 && num_devices <= (1u << vlrd::kVlrdIdBits));
+  vlrd::check_device_count(num_devices);
   sqi_used_.resize(num_devices);
   for (auto& dev : sqi_used_) dev.fill(false);
 }

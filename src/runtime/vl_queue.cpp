@@ -214,7 +214,6 @@ sim::Co<std::optional<Frame>> Consumer::try_dequeue_once() {
     // A context switch may have cleared the pushable tag: re-issue the
     // request (sets it again); registration is idempotent per consumer
     // target so this is loss-free (§ III-B).
-    ++refetches_;
     co_await port.vl_select_fetch(t_.tid, line, dev_va_);
     armed_[cur_] = true;
   }

@@ -244,7 +244,6 @@ class Consumer {
   /// through ordinary coherence.
   void migrate(sim::SimThread to);
 
-  std::uint64_t refetches() const { return refetches_; }
   Addr endpoint_va() const { return dev_va_; }
   sim::SimThread thread() const { return t_; }
 
@@ -258,7 +257,6 @@ class Consumer {
   std::vector<bool> armed_;  ///< Lines with a live fetch registration.
   std::size_t cur_ = 0;
   int polls_since_fetch_ = 0;  ///< try_dequeue_once() refetch counter.
-  std::uint64_t refetches_ = 0;
 };
 
 /// Library facade tying Supervisor + endpoints together (Fig. 8b flow).

@@ -165,9 +165,9 @@ class Channel {
   /// reconfig@ event): drop and re-arm whatever receive-side device state
   /// the calling thread's endpoint holds, without losing messages. VL
   /// channels implement it as Consumer::migrate() onto the same thread —
-  /// the paper's § III-B recovery path. Returns false where the backend
-  /// has no such state (software rings, CAF): nothing to re-register.
-  virtual bool reconfigure(sim::SimThread) { return false; }
+  /// the paper's § III-B recovery path. A no-op where the backend has no
+  /// such state (software rings, CAF): nothing to re-register.
+  virtual void reconfigure(sim::SimThread) {}
 
   // --- blocking wrappers over the core -------------------------------------
   // Only send_many is virtual, for VL's stage-once/push-retry loop.

@@ -82,17 +82,6 @@ class Selector {
     }
   }
 
-  /// Block until any endpoint is ready, without consuming: returns the
-  /// index whose try_recv delivered into `*out`. (Peeking is not part of
-  /// the backend contract — a ready probe must take the message — so this
-  /// is recv_any under a different return shape for callers that route on
-  /// the index.)
-  sim::Co<std::size_t> wait_any(sim::SimThread t, Msg* out) {
-    const Item it = co_await recv_any(t);
-    *out = it.msg;
-    co_return it.index;
-  }
-
  private:
   std::vector<Channel*> chans_;
   std::size_t next_ = 0;  ///< Rotating probe start (fairness).

@@ -132,14 +132,13 @@ sim::Co<std::size_t> VlChannel::try_recv_many(sim::SimThread t,
   co_return got;
 }
 
-bool VlChannel::reconfigure(sim::SimThread t) {
+void VlChannel::reconfigure(sim::SimThread t) {
   // migrate() onto the same thread is exactly the re-registration
   // ceremony: every pushable tag drops (in-flight injections reject and
   // recover device-side via § III-B) and the next dequeue from this
   // thread re-registers demand. Landed-but-unread ring lines survive —
   // try_dequeue_once / sweep_landed still read them.
   consumer_for(t).migrate(t);
-  return true;
 }
 
 std::uint64_t VlChannel::depth() const {

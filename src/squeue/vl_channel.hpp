@@ -67,7 +67,7 @@ class VlChannel : public Channel {
   /// Frames already landed in the endpoint ring stay readable (the
   /// landed-frame sweep covers out-of-order landings), so no message is
   /// lost or duplicated.
-  bool reconfigure(sim::SimThread t) override;
+  void reconfigure(sim::SimThread t) override;
 
  private:
   // A blocked receive polls at the base Channel's default interval,

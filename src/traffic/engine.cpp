@@ -119,8 +119,6 @@ struct Run {
   sim::ShardedSim ssim;
 
   std::unique_ptr<fault::FaultPlane> plane;
-  /// Loss/dup events on a software backend (hardware links are reliable).
-  bool chan_faults = false;
   replay::TraceRecorder* rec = nullptr;  ///< Send-boundary trace tap.
   std::unique_ptr<replay::LifecyclePlane> lp;
   std::unique_ptr<runtime::QosSupervisor> sup;
@@ -149,17 +147,38 @@ Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
           ") does not match scenario '" + spec.name + "' (producers=" +
           std::to_string(spec.producers) +
           ", tenants=" + std::to_string(spec.tenants.size()) + ")");
+    // A trace is the post-shed, post-churn stream: flash crowds and
+    // joins/leaves have already acted on its ticks.
+    const auto refuse = [](const std::string& kind) {
+      throw std::invalid_argument(
+          "replay: " + kind + "@ shapes live arrivals, and a replayed trace "
+          "is the post-shed, post-churn stream; drop the clause or record "
+          "it into the trace");
+    };
+    if (spec.faults.has(fault::FaultKind::kFlashCrowd))
+      refuse(fault::to_string(fault::FaultKind::kFlashCrowd));
+    for (const auto& e : spec.lifecycle.events)
+      if (e.kind != replay::LifecycleEvent::Kind::kReconfig)
+        refuse(replay::to_string(e.kind));
   }
   rec = obs ? obs->recorder : nullptr;
   if (rec)
     rec->begin(spec.name, squeue::to_string(backend), seed,
                static_cast<std::uint32_t>(spec.producers),
                static_cast<std::uint32_t>(spec.tenants.size()), mesh);
-  if (!spec.faults.empty()) {
+  if (!spec.faults.empty())
     plane = std::make_unique<fault::FaultPlane>(spec.faults,
                                                 mesh ? router->shards() : 1);
-    chan_faults = plane->mutates_channels() &&
-                  (backend == Backend::kBlfq || backend == Backend::kZmq);
+  if (!spec.lifecycle.empty()) {
+    if (spec.lifecycle.has_reconfig() && backend != Backend::kVl &&
+        backend != Backend::kVlIdeal)
+      throw std::invalid_argument(
+          "lifecycle: reconfig@ is SQI re-registration — only the VL "
+          "backends have a registration to drop; backend '" +
+          std::string(squeue::to_string(backend)) + "' does not");
+    std::vector<std::string> names;
+    for (const auto& t : spec.tenants) names.push_back(t.name);
+    lp = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
   }
   if (spec.supervisor && spec.qos &&
       (backend == Backend::kVl || backend == Backend::kCaf)) {
@@ -172,17 +191,48 @@ Run::Run(const ScenarioSpec& spec, Backend backend, std::uint64_t seed,
 }
 
 /// Add a node on `m`/`f`, hosting `hosted` (the spec as this machine sees
-/// it): arm its faults, hand the supervisor its knobs, open its metric rows.
+/// it): arm its faults, hand the supervisor its knobs, schedule its churn
+/// re-carves, open its metric rows.
 Node& add_node(Run& run, runtime::Machine& m, squeue::ChannelFactory& f,
                const ScenarioSpec& hosted) {
   const int id = static_cast<int>(run.nodes.size());
   Node& n = *run.nodes.emplace_back(std::make_unique<Node>(id, m, f));
   run.ssim.add_shard(m.eq());
   if (run.plane) run.plane->arm_machine(m, id);
+  const bool vl = run.backend == Backend::kVl;
   if (run.sup)
     run.sup->attach(m.cfg(), channel_demand_for(hosted, run.backend, m.cfg()),
-                    run.backend == Backend::kVl ? &m.cluster() : nullptr,
+                    vl ? &m.cluster() : nullptr,
                     run.backend == Backend::kCaf ? &f.caf_device() : nullptr);
+  // Quota re-carve at every churn boundary: this machine's own demand
+  // re-weighted over the classes still active, so its hardware budgets
+  // track the live tenant mix (runtime::size_quotas — the same arithmetic
+  // as the static carve and the QoS supervisor, so nothing drifts).
+  if (run.lp && hosted.qos && (vl || run.backend == Backend::kCaf)) {
+    const runtime::ChannelDemand demand =
+        channel_demand_for(hosted, run.backend, m.cfg());
+    for (const Tick at : run.lp->churn_boundaries())
+      m.eq().schedule_at(at, [&run, &m, &f, vl, demand, at] {
+        const ScenarioSpec& spec = run.spec;
+        bool present[kQosClasses] = {};
+        for (std::size_t ti = 0; ti < spec.tenants.size(); ++ti)
+          if (run.lp->tenant_active_at(static_cast<int>(ti), at))
+            present[static_cast<std::size_t>(spec.tenants[ti].qos)] = true;
+        if (std::count(present, present + kQosClasses, true) == 0)
+          return;  // everyone gone — leave the carve alone
+        runtime::ChannelDemand d = demand;
+        runtime::base_weights(d, present);
+        const runtime::QuotaPlan plan = runtime::size_quotas(m.cfg(), d);
+        for (std::size_t c = 0; c < kQosClasses; ++c) {
+          if (vl)
+            m.cluster().set_class_quota(static_cast<QosClass>(c),
+                                        plan.vl_class_quota[c]);
+          else
+            f.caf_device().set_class_credit(static_cast<QosClass>(c),
+                                            plan.caf_class_credits[c]);
+        }
+      });
+  }
   for (const auto& t : run.spec.tenants) {
     TenantMetrics tm;
     tm.tenant = t.name;
@@ -283,8 +333,9 @@ void release(Node& n) {
 
 /// One producer thread on node `home`, live or replaying — `src` decides
 /// where each message comes from. A replayed stream is post-shed and paces
-/// no acks, so shedding, fault loss/dup and gap scaling, produce_compute,
-/// churn waits and the closed-loop window are all switched off here, once.
+/// no acks, so shedding, produce_compute and the closed-loop window are
+/// switched off here, once; a replay never carries flash@ or join/leave
+/// (Run rejects them), and the send-boundary loss/dup fate applies to both.
 ///
 /// Every message routes individually: a local one joins its channel's
 /// sub-batch, flushed at lap end in ascending channel order (one send_many
@@ -295,10 +346,9 @@ Co<void> producer(Run& run, Node& home, SimThread t, int tenant, int pid,
   const TenantSpec& ts = spec.tenants[static_cast<std::size_t>(tenant)];
   const bool live = src.live();
   replay::LifecyclePlane* lp =
-      live && run.lp && run.lp->tenant_has_events(tenant) ? run.lp.get()
-                                                          : nullptr;
-  fault::FaultPlane* fp = live ? run.plane.get() : nullptr;
-  const bool chan_faults = live && run.chan_faults;
+      run.lp && run.lp->tenant_has_events(tenant) ? run.lp.get() : nullptr;
+  fault::FaultPlane* fp = run.plane.get();
+  const bool chan_faults = fp && fp->mutates_channels();
   const std::uint64_t drop_depth = live ? ts.drop_depth : 0;
   const Tick compute = live ? spec.produce_compute : 0;
   Channel* ack = live && spec.closed_loop
@@ -330,7 +380,6 @@ Co<void> producer(Run& run, Node& home, SimThread t, int tenant, int pid,
             // Departed for good: the rest of the budget is forfeited, not
             // dropped — never generated, so conservation stays exact and
             // the count-carrying pills still match what was fed.
-            lp->note_forfeit(target - i);
             i = target;
             break;
           }
@@ -456,8 +505,7 @@ Co<void> worker(Run& run, Node& n, SimThread t, std::size_t stage_idx,
     // SQI re-registration (reconfig@): between receive laps the consumer
     // drops its armed demand and re-registers — § III-B migration onto the
     // same thread. Landed frames stay readable, so no message is lost.
-    if (run.lp && run.lp->take_reconfig(flat, eq.now()) && ch.reconfigure(t))
-      run.lp->note_reconfig_applied();
+    if (run.lp && run.lp->take_reconfig(flat, eq.now())) ch.reconfigure(t);
     const std::size_t got =
         co_await ch.recv_many(t, std::span<Msg>(drained.data(), window), 1);
     relay.clear();
@@ -745,49 +793,6 @@ EngineResult Engine::run(const ScenarioSpec& raw, std::uint64_t seed,
   Run run(spec, backend, seed, obs, nullptr);  // one shard, no links
   Node& n = add_node(run, m_, f_, spec);
 
-  // Lifecycle plane, wired before any actor spawns.
-  if (!spec.lifecycle.empty()) {
-    if (spec.lifecycle.has_reconfig() && backend != Backend::kVl &&
-        backend != Backend::kVlIdeal)
-      throw std::invalid_argument(
-          "lifecycle: reconfig@ is SQI re-registration — only the VL "
-          "backends have a registration to drop; backend '" +
-          std::string(squeue::to_string(backend)) + "' does not");
-    std::vector<std::string> names;
-    for (const auto& t : spec.tenants) names.push_back(t.name);
-    run.lp = std::make_unique<replay::LifecyclePlane>(spec.lifecycle, names);
-    // Quota re-carve at every churn boundary: recompute the per-class
-    // carve over the classes still active, so hardware budgets track the
-    // live tenant mix (runtime::size_quotas — the same arithmetic as the
-    // static carve and the QoS supervisor, so nothing drifts).
-    if (spec.qos && (backend == Backend::kVl || backend == Backend::kCaf)) {
-      replay::LifecyclePlane* lp = run.lp.get();
-      for (const Tick at : lp->churn_boundaries()) {
-        m_.eq().schedule_at(at, [this, lp, &spec, backend, at] {
-          bool present[kQosClasses] = {};
-          for (std::size_t ti = 0; ti < spec.tenants.size(); ++ti)
-            if (lp->tenant_active_at(static_cast<int>(ti), at))
-              present[static_cast<std::size_t>(spec.tenants[ti].qos)] = true;
-          if (std::count(present, present + kQosClasses, true) == 0)
-            return;  // everyone gone — leave the carve alone
-          runtime::ChannelDemand d =
-              channel_demand_for(spec, backend, m_.cfg());
-          runtime::base_weights(d, present);
-          const runtime::QuotaPlan plan = runtime::size_quotas(m_.cfg(), d);
-          for (std::size_t c = 0; c < kQosClasses; ++c) {
-            if (backend == Backend::kVl)
-              m_.cluster().set_class_quota(static_cast<QosClass>(c),
-                                           plan.vl_class_quota[c]);
-            else
-              f_.caf_device().set_class_credit(static_cast<QosClass>(c),
-                                               plan.caf_class_credits[c]);
-          }
-          lp->note_recarve();
-        });
-      }
-    }
-  }
-
   const std::uint8_t frame = frame_words(spec, backend);
   const int nchan =
       (spec.topology == Topology::kFanOut || spec.topology == Topology::kMesh)
@@ -846,9 +851,9 @@ ShardedResult run_sharded(const ScenarioSpec& spec, Backend backend,
       {spec.closed_loop, "sharded runs are open-loop only"},
       {spec.consumers < S,
        "need at least one consumer per shard (consumers >= shards)"},
-      {!spec.lifecycle.empty(),
-       "lifecycle events (churn/reconfig) need a single node: the lifecycle "
-       "plane is run-wide state that threaded shards would race on"}};
+      {spec.lifecycle.has_reconfig(),
+       "reconfig@ needs a single node: its one-shot events are run-wide "
+       "state that threaded shards would race on"}};
   for (const auto& [bad, why] : unshardable)
     if (bad) throw std::invalid_argument(why);
 

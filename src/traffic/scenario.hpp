@@ -113,8 +113,8 @@ struct ScenarioSpec {
   fault::FaultSpec faults;
   /// Deterministic lifecycle schedule (replay/lifecycle.hpp): tenant
   /// join/leave churn and SQI re-registration events. Empty = static run.
-  /// Single node only; run_sharded rejects specs that carry one. CLIs
-  /// override it with --churn / --reconfig.
+  /// run_sharded rejects reconfig@ (single node only). CLIs override it
+  /// with --churn.
   replay::LifecycleSpec lifecycle;
   /// Replay source (replay/trace.hpp): when set, every producer ignores
   /// its tenant's arrival/size/count parameters and re-offers the trace's

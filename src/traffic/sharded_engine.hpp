@@ -66,9 +66,9 @@ struct ShardedResult {
 };
 
 /// Run `spec` across opts.shards shards. Requires a fan-out/mesh topology
-/// (one consumer per channel), open loop, no lifecycle events (the
-/// lifecycle plane is run-wide state that threaded shards would race on),
-/// and a sharding block with population > 0 and messages_total > 0 (after
+/// (one consumer per channel), open loop, no reconfig@ event (its one-shot
+/// state is run-wide, which threaded shards would race on; join/leave
+/// churn runs on every shard), and a sharding block with population > 0 and messages_total > 0 (after
 /// opts overrides). Shedding (drop_depth) reads local channels only. The
 /// global message budget is spread over spec.producers producers
 /// regardless of shard count, so delivered counts match across S — the

@@ -57,8 +57,9 @@ inline std::uint8_t payload_words(squeue::Backend b, std::uint8_t words) {
 ///     (single-node fan-out) or from a private RNG stream.
 ///   * Replay: one producer's TraceArrival cursor paces to the recorded
 ///     ticks, and each record supplies class, width and destination.
-/// A replayed stream is post-shed, so the producer switches shedding, fault
-/// loss/dup, produce_compute and lifecycle waits off once, from live().
+/// A replayed stream is post-shed, so the producer switches shedding,
+/// produce_compute and the closed-loop window off once, from live(). The
+/// engine rejects flash@ and join/leave on a replay; loss/dup apply to both.
 class MessageSource {
  public:
   struct Draw {

@@ -14,6 +14,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "common/types.hpp"
 
@@ -25,6 +27,16 @@ inline constexpr int kPageShift = 12;
 inline constexpr int kPageBits = 6;   // up to 32 pages fits; 6 bits reserved
 inline constexpr int kVlrdIdShift = kSqiShift + kSqiBits;  // J..N+1
 inline constexpr int kVlrdIdBits = 4;
+
+/// Throws std::invalid_argument unless `n` routing devices fit the VLRD-id
+/// bit field: 1 <= n <= 2^kVlrdIdBits.
+inline void check_device_count(std::uint32_t n) {
+  if (n < 1 || n > (1u << kVlrdIdBits))
+    throw std::invalid_argument(
+        "VLRD device count " + std::to_string(n) + " outside [1, " +
+        std::to_string(1u << kVlrdIdBits) + "]: the VLRD id has " +
+        std::to_string(kVlrdIdBits) + " address bits (Fig. 9)");
+}
 
 /// Base of the VLRD device PA window (bit 40 set — far above any
 /// cacheable allocation the runtime hands out).

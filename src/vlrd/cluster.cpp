@@ -1,15 +1,11 @@
 #include "vlrd/cluster.hpp"
 
-#include <cassert>
-
 namespace vl::vlrd {
 
 Cluster::Cluster(sim::EventQueue& eq, mem::Hierarchy& hier,
                  const sim::VlrdConfig& cfg)
     : cfg_(cfg), table_(cfg.addr_table_capacity) {
-  assert(cfg.num_devices >= 1 &&
-         cfg.num_devices <= (1u << kVlrdIdBits) &&
-         "device count must fit the Fig. 9 VLRD-id bit field");
+  check_device_count(cfg.num_devices);
   devices_.reserve(cfg.num_devices);
   for (std::uint32_t i = 0; i < cfg.num_devices; ++i)
     devices_.push_back(std::make_unique<Vlrd>(eq, hier, cfg));

@@ -1,8 +1,8 @@
 // Fault-plane behaviour through the real engines: byte-identical chaos
-// replay, zero-loss stall windows, channel loss/dup conservation on
-// software backends (and their gating off hardware backends), flash-crowd
-// load mutation, and sharded link faults, channel loss/dup and shedding
-// staying deterministic across sequential-vs-threaded stepping.
+// replay, zero-loss stall windows, channel loss/dup conservation on every
+// backend, flash-crowd load mutation, and sharded link faults, channel
+// loss/dup, shedding and churn staying deterministic across
+// sequential-vs-threaded stepping.
 
 #include "fault/plane.hpp"
 
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "replay/lifecycle.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/scenario.hpp"
 #include "traffic/sharded_engine.hpp"
@@ -64,35 +65,42 @@ TEST(FaultPlane, DeviceStallLosesNothingAndStretchesTheRun) {
   EXPECT_GT(r.metrics.ticks, base.metrics.ticks);
 }
 
+// Loss/dup act at the engine's send boundary, before a message reaches any
+// channel, so every backend takes the same fate.
+constexpr Backend kAllBackends[] = {Backend::kBlfq, Backend::kZmq,
+                                    Backend::kVl, Backend::kVlIdeal,
+                                    Backend::kCaf};
+
 TEST(FaultPlane, ChanLossShedsAndConserves) {
   const ScenarioSpec s =
       with_faults("incast-burst", "loss@0+10000000:every=4");
-  const EngineResult r = run_spec(s, Backend::kBlfq, 42);
-  const std::uint64_t gen = total(r.metrics, &traffic::TenantMetrics::generated);
-  const std::uint64_t del = total(r.metrics, &traffic::TenantMetrics::delivered);
-  const std::uint64_t drop = total(r.metrics, &traffic::TenantMetrics::dropped);
-  EXPECT_GT(drop, 0u);
-  EXPECT_EQ(del + drop, gen);  // every generated message is accounted for
+  for (Backend b : kAllBackends) {
+    const EngineResult r = run_spec(s, b, 42);
+    const std::uint64_t gen =
+        total(r.metrics, &traffic::TenantMetrics::generated);
+    const std::uint64_t del =
+        total(r.metrics, &traffic::TenantMetrics::delivered);
+    const std::uint64_t drop =
+        total(r.metrics, &traffic::TenantMetrics::dropped);
+    EXPECT_GT(drop, 0u) << squeue::to_string(b);
+    // Every generated message is accounted for.
+    EXPECT_EQ(del + drop, gen) << squeue::to_string(b);
+  }
 }
 
 TEST(FaultPlane, ChanDupDeliversExtraCopies) {
   const ScenarioSpec s = with_faults("incast-burst", "dup@0+10000000:every=4");
-  const EngineResult r = run_spec(s, Backend::kBlfq, 42);
-  const std::uint64_t gen = total(r.metrics, &traffic::TenantMetrics::generated);
-  const std::uint64_t del = total(r.metrics, &traffic::TenantMetrics::delivered);
-  EXPECT_GT(del, gen);  // duplicates arrive as real deliveries
-  EXPECT_EQ(total(r.metrics, &traffic::TenantMetrics::dropped), 0u);
-}
-
-TEST(FaultPlane, ChannelFaultsGateOffHardwareBackends) {
-  // loss/dup model software transport faults; the VL hardware path has no
-  // such boundary, so the same spec must leave a VL run untouched.
-  const ScenarioSpec s = with_faults("incast-burst", "loss@0+10000000:every=4");
-  const EngineResult faulted = run_spec(s, Backend::kVl, 42);
-  const EngineResult plain = run_spec(*find_scenario("incast-burst"),
-                                      Backend::kVl, 42);
-  EXPECT_EQ(faulted.csv(), plain.csv());
-  EXPECT_EQ(faulted.events, plain.events);
+  for (Backend b : kAllBackends) {
+    const EngineResult r = run_spec(s, b, 42);
+    const std::uint64_t gen =
+        total(r.metrics, &traffic::TenantMetrics::generated);
+    const std::uint64_t del =
+        total(r.metrics, &traffic::TenantMetrics::delivered);
+    // Duplicates arrive as real deliveries.
+    EXPECT_GT(del, gen) << squeue::to_string(b);
+    EXPECT_EQ(total(r.metrics, &traffic::TenantMetrics::dropped), 0u)
+        << squeue::to_string(b);
+  }
 }
 
 TEST(FaultPlane, FlashCrowdRescalesArrivals) {
@@ -171,16 +179,23 @@ TEST(FaultPlane, ShardedChanFaultsAndSheddingConserveAndMatchSeqVsThreaded) {
   ShardedOptions thr = seq;
   thr.sim_threads = 4;
 
-  // Two inputs: channel loss/dup faults, and producer-side shedding at a
-  // full local channel (drop_depth, which a mesh node honours too).
+  // Three inputs: channel loss/dup faults, producer-side shedding at a
+  // full local channel (drop_depth, which a mesh node honours too), and the
+  // same faults under tenant churn on VL, where every node reads the one
+  // lifecycle plane and re-carves its own quotas at each join/leave.
   ScenarioSpec faulted = with_faults(
       "shard-diurnal", "loss@0+10000000:every=5;dup@0+10000000:every=7");
   ScenarioSpec shed = *find_scenario("shard-diurnal");
   for (auto& t : shed.tenants) t.drop_depth = 2;
+  ScenarioSpec churned = faulted;
+  churned.lifecycle = replay::LifecycleSpec::parse(
+      "leave@3000:tenant=bulk;join@6000:tenant=bulk;leave@9000:tenant=api");
 
-  for (const ScenarioSpec* s : {&faulted, &shed}) {
-    const auto a = traffic::run_sharded(*s, Backend::kZmq, 42, seq);
-    const auto b = traffic::run_sharded(*s, Backend::kZmq, 42, thr);
+  std::uint64_t faulted_gen = 0;
+  for (const ScenarioSpec* s : {&faulted, &shed, &churned}) {
+    const Backend backend = s == &churned ? Backend::kVl : Backend::kZmq;
+    const auto a = traffic::run_sharded(*s, backend, 42, seq);
+    const auto b = traffic::run_sharded(*s, backend, 42, thr);
     EXPECT_EQ(a.shard_digests, b.shard_digests);
     EXPECT_EQ(a.shard_delivered, b.shard_delivered);
     EXPECT_EQ(a.engine.csv(), b.engine.csv());
@@ -201,9 +216,14 @@ TEST(FaultPlane, ShardedChanFaultsAndSheddingConserveAndMatchSeqVsThreaded) {
     }
     EXPECT_GT(drop, 0u);
     EXPECT_EQ(gen + duped, del + drop);
-    if (s == &faulted) {
+    if (s != &shed) {
       EXPECT_GT(duped, 0u);
       EXPECT_EQ(drop, lost);
+    }
+    if (s == &faulted) faulted_gen = gen;
+    // The departed tenant forfeits the rest of its budget: never generated.
+    if (s == &churned) {
+      EXPECT_LT(gen, faulted_gen);
     }
   }
 }

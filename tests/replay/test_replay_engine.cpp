@@ -1,14 +1,19 @@
 // Record/replay through the traffic engine: a recorded run replayed on
 // the same cell reproduces per-tenant counts exactly (the trace is the
 // post-shed stream) and the latency distribution tick-for-tick; replay is
-// deterministic; re-recording a replay reproduces the trace; shape and
-// single-node vs mesh mismatches throw instead of replaying garbage.
+// deterministic; re-recording a replay reproduces the trace; send-boundary
+// loss applies to a replayed stream; shape and single-node vs mesh
+// mismatches, and clauses that shape live arrivals, throw instead of
+// replaying garbage.
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "fault/spec.hpp"
 #include "obs/hooks.hpp"
+#include "replay/lifecycle.hpp"
 #include "replay/trace.hpp"
 #include "traffic/engine.hpp"
 #include "traffic/sharded_engine.hpp"
@@ -96,6 +101,50 @@ TEST(ReplayEngine, ForeignBackendReplayConservesEveryRecord) {
     for (const TenantMetrics& t : rep.metrics.tenants)
       EXPECT_EQ(t.dropped, 0u) << t.tenant;
   }
+}
+
+TEST(ReplayEngine, ChannelLossAppliesToAReplayedStream) {
+  const Recorded rec = record("qos-incast", Backend::kVl, 42);
+  ScenarioSpec spec = *find_scenario("qos-incast");
+  spec.supervisor = false;
+  spec.replay = &rec.trace;
+  spec.faults = fault::FaultSpec::parse("loss@0+10000000:every=4");
+  const EngineResult r = run_spec(spec, Backend::kVl, 42);
+  std::uint64_t dropped = 0;
+  for (const TenantMetrics& t : r.metrics.tenants) dropped += t.dropped;
+  EXPECT_GT(dropped, 0u);
+  // Every record is either delivered or lost at the send boundary.
+  EXPECT_EQ(r.metrics.total_delivered() + dropped,
+            static_cast<std::uint64_t>(rec.trace.records.size()));
+}
+
+TEST(ReplayEngine, ArrivalShapingClausesThrowNamingTheClause) {
+  // A trace is the post-shed, post-churn stream: flash crowds and
+  // joins/leaves already acted on its ticks, so a replay that names one is
+  // refused rather than run without it.
+  const Recorded rec = record("qos-incast", Backend::kVl, 42);
+  ScenarioSpec spec = *find_scenario("qos-incast");
+  spec.supervisor = false;
+  spec.replay = &rec.trace;
+  auto refusal = [&spec](const char* faults, const char* churn) {
+    ScenarioSpec s = spec;
+    s.faults = fault::FaultSpec::parse(faults);
+    s.lifecycle = replay::LifecycleSpec::parse(churn);
+    try {
+      (void)run_spec(s, Backend::kVl, 42);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("ran");
+  };
+  EXPECT_NE(refusal("flash@0+50000:factor=0.5", "").find("flash@"),
+            std::string::npos);
+  EXPECT_NE(refusal("", "join@20000:tenant=bulk").find("join@"),
+            std::string::npos);
+  EXPECT_NE(refusal("", "leave@20000:tenant=bulk").find("leave@"),
+            std::string::npos);
+  // SQI re-registration acts on the consumer, not on arrivals: it replays.
+  EXPECT_EQ(refusal("", "reconfig@20000"), "ran");
 }
 
 TEST(ReplayEngine, ShapeMismatchThrows) {

@@ -31,7 +31,7 @@ TEST(WarmRestart, ConservesOnEveryDeviceBackend) {
 }
 
 TEST(WarmRestart, ReportIsDeterministicAcrossReruns) {
-  for (Backend b : {Backend::kVl, Backend::kCaf}) {
+  for (Backend b : {Backend::kVl, Backend::kVlIdeal, Backend::kCaf}) {
     const WarmRestartReport a = run_warm_restart(b, 9);
     const WarmRestartReport c = run_warm_restart(b, 9);
     EXPECT_EQ(a.text(), c.text()) << squeue::to_string(b);

@@ -419,16 +419,12 @@ TEST(ShardedEngine, RejectsUnshardableSpecs) {
   EXPECT_THROW(run_sharded(ok, Backend::kBlfq, 1, too_many),
                std::invalid_argument);
 
-  // The lifecycle plane is run-wide state that threaded shards would race
-  // on, so churn and reconfig stay single-node.
-  for (const char* churn :
-       {"leave@30000:tenant=bulk;join@45000:tenant=bulk", "reconfig@20000"}) {
-    ScenarioSpec churned = ok;
-    churned.lifecycle = replay::LifecycleSpec::parse(churn);
-    EXPECT_THROW(run_sharded(churned, Backend::kVl, 1, small_opts(2)),
-                 std::invalid_argument)
-        << churn;
-  }
+  // reconfig@'s one-shot events are run-wide state that threaded shards
+  // would race on, so it stays single-node (join/leave only read the plane).
+  ScenarioSpec reconfig = ok;
+  reconfig.lifecycle = replay::LifecycleSpec::parse("reconfig@20000");
+  EXPECT_THROW(run_sharded(reconfig, Backend::kVl, 1, small_opts(2)),
+               std::invalid_argument);
 }
 
 TEST(ShardedEngine, RebalanceMovesTenantsUnderSkew) {

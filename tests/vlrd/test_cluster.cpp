@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "runtime/machine.hpp"
+#include "runtime/supervisor.hpp"
 #include "runtime/vl_queue.hpp"
 #include "squeue/vl_channel.hpp"
 
@@ -80,11 +83,12 @@ TEST(Cluster, TotalStatsAggregatesQuotaNacks) {
 TEST(Cluster, RejectsTooManyDevices) {
   sim::SystemConfig cfg;
   cfg.vlrd.num_devices = (1u << kVlrdIdBits) + 1;
-#ifdef NDEBUG
-  GTEST_SKIP() << "assert-based guard requires a debug build";
-#else
-  EXPECT_DEATH(Machine m(cfg), "device count");
-#endif
+  EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+  cfg.vlrd.num_devices = 0;
+  EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+  EXPECT_THROW(runtime::Supervisor s((1u << kVlrdIdBits) + 1),
+               std::invalid_argument);
+  EXPECT_THROW(runtime::Supervisor s(0), std::invalid_argument);
 }
 
 TEST(ClusterIntegration, QueuesSpreadRoundRobinAcrossDevices) {
