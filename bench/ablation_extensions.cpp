@@ -1,5 +1,6 @@
 // Ablation sweeps for the paper's optional/extension design points built in
-// this repo (DESIGN.md "extensions"):
+// this repo (sim::VlrdConfig's num_devices, Addressing and BufferMgmt in
+// src/sim/config.hpp; the Fig. 9 encoding in src/vlrd/addressing.hpp):
 //   1. multi-VLRD scaling (§ III-C2, Fig. 9 bits J:N+1): many-channel
 //      workloads across 1/2/4 routing devices;
 //   2. addressing scheme (§ III-C2): Fig. 9 bit-field vs CAM address table —

@@ -1,4 +1,5 @@
-// Ablation sweeps for the VLRD design choices DESIGN.md calls out:
+// Ablation sweeps for the VLRD design choices described in src/vlrd/vlrd.hpp
+// (buffers, back-pressure) and set through sim::VlrdConfig:
 //   1. buffer depth (8..256 entries) under incast pressure — how much
 //      device buffering the back-pressure mechanism needs;
 //   2. device round-trip latency — sensitivity of ping-pong to the

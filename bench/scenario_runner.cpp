@@ -17,14 +17,18 @@
 // --sweep runs the selected scenarios over every (backend, scale) cell and
 // prints a geomean summary table: per cell, the geometric mean across
 // scenarios of delivered Mmsgs/s and of simulated ticks — the Fig.-style
-// scaling view over the whole preset suite.
+// scaling view over the whole preset suite. --sweep and --warm-restart
+// exit 2 naming every set option they do not honour.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -50,6 +54,23 @@ bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], flag) == 0) return true;
   return false;
+}
+
+/// For a run mode that honours only `honoured`: print every other option
+/// set in argv and return true (the caller exits 2), so a flag the mode
+/// would drop never runs silently.
+bool rejects_unhonoured(int argc, char** argv, const char* mode,
+                        std::initializer_list<std::string_view> honoured) {
+  std::string dropped;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    if (a.substr(0, 2) != "--" || a == mode) continue;
+    if (std::find(honoured.begin(), honoured.end(), a) == honoured.end())
+      dropped += " " + std::string(a);
+  }
+  if (dropped.empty()) return false;
+  std::fprintf(stderr, "%s does not honour%s\n", mode, dropped.c_str());
+  return true;
 }
 
 void print_usage() {
@@ -111,7 +132,12 @@ void print_usage() {
                "            conservation violation\n"
                "  --warm-restart  run the snapshot/rebuild/restore drill on\n"
                "            the selected device backend (vl|vlideal|caf)\n"
-               "            and print its one-line report\n");
+               "            and print its one-line report; honours only\n"
+               "            --backend and --seed, any other option exits 2\n"
+               "  --sweep   honours only --scenario, --backend, --seed,\n"
+               "            --scales, --batches/--batch, --no-qos,\n"
+               "            --no-supervisor and --faults; any other option\n"
+               "            exits 2\n");
 }
 
 /// Run one (scenario, backend) cell, honouring the --no-qos ablation and
@@ -380,6 +406,9 @@ int main(int argc, char** argv) {
   }
 
   if (warm_restart) {
+    if (rejects_unhonoured(argc, argv, "--warm-restart",
+                           {"--backend", "--seed"}))
+      return 2;
     for (Backend b : backends) {
       vl::replay::WarmRestartReport rep;
       try {
@@ -398,10 +427,11 @@ int main(int argc, char** argv) {
   }
 
   if (has_flag(argc, argv, "--sweep")) {
-    if (!slo_class.empty()) {
-      std::fprintf(stderr, "--assert-slo checks single runs, not --sweep\n");
+    if (rejects_unhonoured(argc, argv, "--sweep",
+                           {"--scenario", "--backend", "--seed", "--scales",
+                            "--batches", "--batch", "--no-qos",
+                            "--no-supervisor", "--faults"}))
       return 2;
-    }
     const std::vector<int> scales =
         parse_scales(arg_value(argc, argv, "--scales", "1,2"));
     if (scales.empty()) {

@@ -12,12 +12,11 @@
 // transaction's latency is composed from the CacheConfig costs. Because the
 // protocol runs on an atomic bus there are no transient states — tag-state
 // changes apply at transaction grant, functional data commits at the
-// completion event (see DESIGN.md for why this preserves correctness).
+// completion event (see README.md, "Timing model", for why this preserves
+// correctness).
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "mem/main_memory.hpp"
 #include "mem/stats.hpp"
@@ -86,20 +85,14 @@ class Hierarchy : public sim::MemoryPort {
   void set_trace(TraceHook h) { trace_ = std::move(h); }
 
  private:
-  struct Outcome {
-    Tick latency = 0;
-  };
-
-  /// Obtain `line` in `core`'s L1 with at least the required right.
-  /// exclusive=false -> readable (S/E); true -> writable (M).
-  Outcome access_line(CoreId core, Addr line, bool exclusive);
-
-  /// Allocate a frame in core's L1 for `line`, evicting as needed.
-  TagEntry& fill_l1(CoreId core, Addr line, Mesi state, Tick& lat);
+  /// Obtain `line` in `core`'s L1 with at least the required right
+  /// (exclusive: writable M, else readable S/E); returns the latency.
+  Tick access_line(CoreId core, Addr line, bool exclusive);
 
   /// LLC lookup/fill; adds latency and DRAM traffic to `lat`.
   void llc_fetch(Addr line, Tick& lat);
-  void llc_insert(Addr line, bool dirty, Tick& lat);
+  /// LLC fill or dirty merge (a dirty victim's writeback is an off-path burst).
+  void llc_insert(Addr line, bool dirty);
 
   Tick bus_slot(Tick cost);
   Tick dram_access(bool write);
@@ -111,8 +104,8 @@ class Hierarchy : public sim::MemoryPort {
   sim::EventQueue& eq_;
   sim::CacheConfig cfg_;
   MainMemory mem_;
-  std::vector<TagStore> l1_;  // one per core
-  TagStore llc_;
+  TagStore l1_;   // one bank per core
+  TagStore llc_;  // one bank
   MemStats stats_;
   Tick bus_busy_until_ = 0;
   Tick dram_busy_until_ = 0;

@@ -20,6 +20,11 @@ for neither side) and the ratio of the medians, then two verdicts:
   worse  the change's median is worse than the parent's by more than the
          metric's BENCHMARK.json bound.
 
+Each side's max/median and min/median ratios follow the medians, and any
+run more than OUTLIER_RATIO (1.5x) above or below its side's median is
+flagged as an outlier. Flags are informational: the verdicts above do not
+change.
+
 Exit status: 0 when every run passed its checks and both sides reported
 the same digest, 1 otherwise, 2 on bad invocation.
 """
@@ -60,6 +65,20 @@ def quartiles(xs):
 
 def fmt(x):
     return f"{x:.6g}"
+
+
+OUTLIER_RATIO = 1.5
+
+
+def spread(xs, med):
+    """max/median, min/median and the (index, ratio) of each run more than
+    OUTLIER_RATIO from the median in either direction."""
+    if not med:
+        return float("nan"), float("nan"), []
+    ratios = [x / med for x in xs]
+    out = [(i, r) for i, r in enumerate(ratios)
+           if r > OUTLIER_RATIO or r < 1 / OUTLIER_RATIO]
+    return max(ratios), min(ratios), out
 
 
 def main():
@@ -123,8 +142,7 @@ def main():
         gain = won >= need and delta > pq[2] - pq[0]
         bound = m["bound"] * abs(pq[1])
         worse = -delta > bound
-        summary[name] = {"parent": p, "change": c, "won": won, "lost": lost,
-                         "ratio": ratio, "gain": gain, "worse": worse}
+        outliers = {}
         print(f"{name} [{m['unit']}, {m['better']} is better, "
               f"bound {m['bound']:.0%}]")
         print(f"  parent runs {' '.join(fmt(x) for x in p)}")
@@ -132,6 +150,16 @@ def main():
         print(f"  parent median {fmt(pq[1])} (q1 {fmt(pq[0])}, q3 {fmt(pq[2])}, "
               f"IQR {fmt(pq[2] - pq[0])})")
         print(f"  change median {fmt(cq[1])} (q1 {fmt(cq[0])}, q3 {fmt(cq[2])})")
+        for side, xs, med in (("parent", p, pq[1]), ("change", c, cq[1])):
+            hi, lo, out = spread(xs, med)
+            outliers[side] = [i for i, _ in out]
+            print(f"  {side} max/median {hi:.3f}x, min/median {lo:.3f}x")
+            for i, r in out:
+                print(f"  OUTLIER {side} run {i}: {fmt(xs[i])} is {r:.2f}x "
+                      f"its side's median")
+        summary[name] = {"parent": p, "change": c, "won": won, "lost": lost,
+                         "ratio": ratio, "gain": gain, "worse": worse,
+                         "outliers": outliers}
         print(f"  pairs won {won}/{args.pairs} (lost {lost}), "
               f"ratio {ratio:.3f}x of the parent")
         print(f"  gain: {'YES' if gain else 'no'} "
