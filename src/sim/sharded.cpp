@@ -120,7 +120,7 @@ void ShardedSim::post(int src, int dst, EventFn deliver) {
           ? link_extra_[static_cast<std::size_t>(src) * shards_.size() + dst]
           : 0;
   s.outbox.push_back(OutMsg{s.eq->now() + lookahead_ + extra, s.next_seq++,
-                            dst, std::move(deliver)});
+                            src, dst, std::move(deliver)});
   ++in_flight_[static_cast<std::size_t>(src) * shards_.size() + dst];
 }
 
@@ -135,34 +135,26 @@ void ShardedSim::exchange() {
   // before scheduling: destination queues see the posts in an order that is
   // independent of shard stepping order, which is what keeps the threaded
   // mode byte-identical to sequential round-robin.
-  struct Item {
-    Tick arrival;
-    int src;
-    std::uint64_t seq;
-    int dst;
-    EventFn fn;
-  };
-  std::vector<Item> items;
-  for (int src = 0; src < shards(); ++src) {
-    Shard& s = shards_[static_cast<std::size_t>(src)];
-    for (OutMsg& m : s.outbox)
-      items.push_back(Item{m.arrival, src, m.seq, m.dst, std::move(m.fn)});
+  for (Shard& s : shards_) {
+    for (OutMsg& m : s.outbox) ingress_.push_back(std::move(m));
     s.outbox.clear();
   }
-  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-    if (a.arrival != b.arrival) return a.arrival < b.arrival;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
-  });
-  for (Item& it : items) {
-    EventQueue& dq = *shards_[static_cast<std::size_t>(it.dst)].eq;
+  std::sort(ingress_.begin(), ingress_.end(),
+            [](const OutMsg& a, const OutMsg& b) {
+              if (a.arrival != b.arrival) return a.arrival < b.arrival;
+              if (a.src != b.src) return a.src < b.src;
+              return a.seq < b.seq;
+            });
+  for (OutMsg& m : ingress_) {
+    EventQueue& dq = *shards_[static_cast<std::size_t>(m.dst)].eq;
     // Safety of the horizon: arrival = src.now() + L >= t_min + L > H, and
     // every queue stands at exactly H after step_all, so this never
     // schedules into a destination's past.
-    assert(it.arrival >= dq.now() && "lookahead violated");
-    dq.schedule_at(it.arrival, std::move(it.fn));
+    assert(m.arrival >= dq.now() && "lookahead violated");
+    dq.schedule_at(m.arrival, std::move(m.fn));
   }
-  stats_.messages += items.size();
+  stats_.messages += ingress_.size();
+  ingress_.clear();
   std::fill(in_flight_.begin(), in_flight_.end(), 0);
 }
 

@@ -156,7 +156,7 @@ class ShardedSim {
   struct OutMsg {
     Tick arrival;
     std::uint64_t seq;  ///< Per-source post counter (exchange tie-break).
-    int dst;
+    int src, dst;
     EventFn fn;
   };
   struct Shard {
@@ -186,6 +186,7 @@ class ShardedSim {
   std::uint32_t link_window_ = 0;
   std::vector<Shard> shards_;
   std::vector<Clock> clocks_;
+  std::vector<OutMsg> ingress_;  ///< exchange()'s gather buffer, reused.
   std::vector<std::uint32_t> in_flight_;  ///< S*S per-epoch link counters.
   // Per-link fault table (S*S), written only at the barrier, read by shard
   // code during the epoch — immutable within any epoch by contract.

@@ -23,6 +23,7 @@
 #include <utility>
 
 #include "sim/event_queue.hpp"
+#include "sim/frame_cache.hpp"
 
 namespace vl::sim {
 
@@ -43,6 +44,11 @@ struct FinalAwaiter {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
+  // Every frame comes from the calling thread's frame cache.
+  static void* operator new(std::size_t n) { return FrameCache::take(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FrameCache::give(p, n);
+  }
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
   // Simulation code must not leak exceptions across scheduling boundaries;

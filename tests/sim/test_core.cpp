@@ -2,21 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <thread>
 
 #include "mem/hierarchy.hpp"
 #include "sim/sync.hpp"
 
-// Every global operator new in this test binary, counted so a test can
-// assert that a steady stream of Core ops allocates nothing. Each
+// Every global operator new and delete in this test binary, counted so a
+// test can assert that a steady stream of Core ops or Co calls allocates
+// nothing, and see a cached frame block go back to the heap. Each
 // non-aligned form is replaced, so every pointer they return is freed by a
 // matching replacement. Out of line, so GCC does not pair an inlined free()
 // with a new-expression (-Wmismatched-new-delete).
 namespace {
 std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_frees{0};
+// An address inside one heap block, and how often a block holding it was
+// freed.
+std::atomic<std::uintptr_t> g_watched{0};
+std::atomic<int> g_watched_frees{0};
+
+[[gnu::noinline]] void counted_free(void* p) noexcept {
+  g_heap_frees.fetch_add(1, std::memory_order_relaxed);
+  const std::uintptr_t w = g_watched.load(std::memory_order_relaxed);
+  if (w && p && w - reinterpret_cast<std::uintptr_t>(p) < malloc_usable_size(p))
+    g_watched_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 
 [[gnu::noinline]] void* counted_alloc(std::size_t n) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -36,7 +55,7 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return counted_alloc(n);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
 void operator delete[](void* p) noexcept { operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
@@ -250,6 +269,106 @@ TEST_F(CoreFixture, SteadyOpsAllocateNothing) {
   }(t, &allocs));
   eq.run();
   EXPECT_EQ(allocs, 0u);
+}
+
+Co<void> one_tick(EventQueue& q) { co_await Delay(q, 1); }
+
+Co<std::optional<std::uint64_t>> next_unless_third(EventQueue& q,
+                                                   std::uint64_t v) {
+  co_await one_tick(q);
+  if (v % 3 == 0) co_return std::nullopt;
+  co_return v + 1;
+}
+
+Co<int> chain_step(EventQueue& q, std::uint64_t v) {
+  const std::optional<std::uint64_t> r = co_await next_unless_third(q, v);
+  co_return r ? 1 : 0;
+}
+
+TEST(FrameCache, SteadyCoChainsAllocateNothing) {
+  // Each iteration creates and destroys three nested frames; after a
+  // warm-up (event-node chunk, the frame cache's first blocks) they come
+  // from the thread's frame cache, not the heap.
+  EventQueue eq;
+  std::uint64_t allocs = ~std::uint64_t{0};
+  int somes = 0;
+  spawn([](EventQueue& q, std::uint64_t* out, int* n) -> Co<void> {
+    std::uint64_t before = 0;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      if (i == 32) before = g_heap_allocs.load();
+      *n += co_await chain_step(q, i);
+    }
+    *out = g_heap_allocs.load() - before;
+  }(eq, &allocs, &somes));
+  eq.run();
+  EXPECT_EQ(somes, 42);  // i % 3 != 0 for 42 of 0..63
+  EXPECT_EQ(eq.now(), 64u);
+  EXPECT_EQ(allocs, 0u);
+}
+
+Co<int> watched_frame(EventQueue& q) {
+  int local = 7;  // lives in the frame across the Delay
+  g_watched.store(reinterpret_cast<std::uintptr_t>(&local));
+  co_await Delay(q, 5);
+  co_return local;
+}
+
+TEST(FrameCache, FrameCrossesThreadsAndLeavesWithTheLastOne) {
+  // Created on one thread, resumed and destroyed on another: the frame
+  // goes into the second thread's cache, and that thread's exit hands it
+  // back to the heap.
+  EventQueue eq;
+  Co<int> co;
+  std::uint64_t made = 0;
+  std::thread([&] {
+    const std::uint64_t before = g_heap_allocs.load();
+    co = watched_frame(eq);  // lazy: the frame exists, the body has not run
+    made = g_heap_allocs.load() - before;
+  }).join();
+  EXPECT_EQ(made, 1u);
+
+  int result = 0;
+  int freed_before_exit = -1;
+  std::thread([&] {
+    spawn([](Co<int> c, int* out) -> Co<void> {
+      *out = co_await std::move(c);
+    }(std::move(co), &result));
+    eq.run();  // the body runs here; both frames are destroyed here
+    freed_before_exit = g_watched_frees.load();
+  }).join();
+  EXPECT_EQ(result, 7);
+  EXPECT_EQ(freed_before_exit, 0);     // cached, not freed
+  EXPECT_EQ(g_watched_frees.load(), 1);  // the thread's exit freed it
+  g_watched.store(0);
+  g_watched_frees.store(0);
+}
+
+// Holds a frame until its thread's thread_local destructors run. Built
+// before the thread caches its first block, so it is destroyed after the
+// thread's frame cache has been handed back.
+struct LateFrame {
+  Co<int> co;
+  std::uint64_t* frees = nullptr;
+  ~LateFrame() {
+    const std::uint64_t before = g_heap_frees.load();
+    co = Co<int>{};
+    *frees = g_heap_frees.load() - before;
+  }
+};
+
+Co<int> idle_frame() { co_return 0; }
+
+TEST(FrameCache, FrameFreedAfterTheExitDrainGoesToTheHeap) {
+  EventQueue eq;
+  std::uint64_t late_frees = 0;
+  std::thread([&] {
+    thread_local LateFrame late;
+    late.frees = &late_frees;
+    late.co = idle_frame();
+    spawn(one_tick(eq));  // caches a block: the exit drain is armed
+    eq.run();
+  }).join();
+  EXPECT_EQ(late_frees, 1u);
 }
 
 TEST_F(CoreFixture, ZeroCycleComputeOnAFreePortDoesNotSuspend) {

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Alternating A/B pairs of vlbench runs: a parent checkout against a change.
 
-    tools/ab_pairs.py PARENT CHANGE --workload fig11 [--pairs 10]
+    tools/ab_pairs.py PARENT CHANGE --workload fig11|all [--pairs 10]
                       [--seconds S] [--seed 42] [--out runs.json]
 
 PARENT and CHANGE are two source checkouts. Each side runs its own
 `bench/vlbench/run.py --trace 0`, built into its own CARGO_TARGET_DIR
 (<checkout>/.bench_build), so both sides use their own benchmark code with
 identical settings. Pair i runs the parent first when i is even and the
-change first when i is odd.
+change first when i is odd. `--workload all` runs the pairs for each
+workload in the parent's BENCHMARK.json in turn and prints one verdict
+block per workload.
 
 For every end-to-end metric in the parent's BENCHMARK.json it prints each
 run, each side's median and quartiles, the pairs the change won (ties count
@@ -26,7 +28,7 @@ flagged as an outlier. Flags are informational: the verdicts above do not
 change.
 
 Exit status: 0 when every run passed its checks and both sides reported
-the same digest, 1 otherwise, 2 on bad invocation.
+the same digest on every workload, 1 otherwise, 2 on bad invocation.
 """
 
 import argparse
@@ -81,39 +83,23 @@ def spread(xs, med):
     return max(ratios), min(ratios), out
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: BENCHMARK.json run_seconds)")
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--out", help="write every run's metrics here as JSON")
-    args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for root in sides.values():
-        if not (root / "bench/vlbench/run.py").exists():
-            ap.error(f"{root} is not a checkout with bench/vlbench/run.py")
-    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
-    if args.workload not in [w["name"] for w in spec["workloads"]]:
-        ap.error(f"unknown workload {args.workload}")
-
+def ab_workload(sides, spec, workload, args):
+    """Runs the alternating pairs of one workload and prints its verdict
+    block; returns (ok, record) where ok is False on a failed run or a
+    digest mismatch."""
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 out = Path(tmp) / f"{side}-{i}.json"
-                runs[side].append(run_side(sides[side], args.workload,
+                runs[side].append(run_side(sides[side], workload,
                                            args.seed, args.seconds, out))
                 m = runs[side][-1]["metrics"]["host_msgs_per_s"]["value"]
-                print(f"pair {i} {side}: host_msgs_per_s {fmt(m)}",
+                print(f"{workload} pair {i} {side}: host_msgs_per_s {fmt(m)}",
                       file=sys.stderr)
 
+    print(f"\n{workload}: {args.pairs} pairs, seed {args.seed}")
     ok = True
     for side, rs in runs.items():
         for r in rs:
@@ -129,7 +115,6 @@ def main():
 
     need = -(-9 * args.pairs // 10)  # ceil(0.9 * pairs)
     summary = {}
-    print(f"\n{args.workload}: {args.pairs} pairs, seed {args.seed}")
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -165,11 +150,49 @@ def main():
         print(f"  gain: {'YES' if gain else 'no'} "
               f"(needs >= {need}/{args.pairs} and a median gap over the IQR); "
               f"worse beyond bound: {'YES' if worse else 'no'}")
+    sys.stdout.flush()
+    return ok, {"workload": workload, "seed": args.seed, "pairs": args.pairs,
+                "ok": ok, "digests": digests, "metrics": summary}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True,
+                    help="a BENCHMARK.json workload, or 'all'")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float,
+                    help="run length (default: BENCHMARK.json run_seconds)")
+    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--out", help="write every run's metrics here as JSON "
+                    "(with --workload all: one record per workload)")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in sides.values():
+        if not (root / "bench/vlbench/run.py").exists():
+            ap.error(f"{root} is not a checkout with bench/vlbench/run.py")
+    spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload != "all" and args.workload not in names:
+        ap.error(f"unknown workload {args.workload}")
+    workloads = names if args.workload == "all" else [args.workload]
+
+    ok, records = True, []
+    for w in workloads:
+        w_ok, record = ab_workload(sides, spec, w, args)
+        ok = ok and w_ok
+        records.append(record)
+    if len(workloads) > 1:
+        print("\nsummary: " + ", ".join(
+            f"{r['workload']} {'ok' if r['ok'] else 'FAILED'}"
+            for r in records))
     if args.out:
-        Path(args.out).write_text(json.dumps(
-            {"workload": args.workload, "seed": args.seed,
-             "pairs": args.pairs, "digests": digests, "metrics": summary},
-            indent=1) + "\n")
+        out = records[0] if args.workload != "all" else {
+            r["workload"]: r for r in records}
+        Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0 if ok else 1
 
 
